@@ -1,9 +1,9 @@
 // Package serve is the long-lived equilibrium service: an HTTP+JSON
 // server owning a bounded pool of resident request slots, the shared
 // pricing-engine registry (pricing.Shared — pooled BFS scratch reused
-// across requests), and an LRU of certified verdicts keyed by canonical
-// form (internal/iso), serving concurrent check / best-response / dynamics
-// requests for every deviation model.
+// across requests), and an LRU of certified verdicts keyed by the exact
+// labeled graph and check spec, serving concurrent check / best-response /
+// dynamics requests for every deviation model.
 //
 // The request and response DTOs in this file are the single wire shape of
 // the system: the HTTP handlers decode them, the CLI's check / dynamics

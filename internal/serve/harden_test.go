@@ -3,16 +3,20 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/constructions"
+	"repro/internal/graph"
 	"repro/internal/iso"
 )
 
@@ -29,47 +33,12 @@ func fivePrism() GraphDTO {
 	return d
 }
 
-// TestCacheBucketKeepsCollidingExactGraphs unit-tests the per-key bucket:
-// two distinct labeled graphs sharing a verdict-cache key must coexist
-// instead of evicting each other, and each lookup must return its own
-// graph's verdict.
-func TestCacheBucketKeepsCollidingExactGraphs(t *testing.T) {
-	c := newVerdictCache(8)
-	va := VerdictDTO{Stable: true}
-	vb := VerdictDTO{Stable: false, Violation: &ViolationDTO{Agent: 3}}
-	c.put("k", "graphA", va)
-	c.put("k", "graphB", vb)
-	for i := 0; i < 3; i++ { // alternate — the pre-bucket cache thrashed here
-		if got, ok := c.get("k", "graphA"); !ok || !reflect.DeepEqual(got, va) {
-			t.Fatalf("round %d: graphA verdict %+v ok=%t, want %+v", i, got, ok, va)
-		}
-		if got, ok := c.get("k", "graphB"); !ok || !reflect.DeepEqual(got, vb) {
-			t.Fatalf("round %d: graphB verdict %+v ok=%t, want %+v", i, got, ok, vb)
-		}
-	}
-	if c.len() != 1 {
-		t.Errorf("bucketed collisions should occupy one LRU key, got %d", c.len())
-	}
-	// The bucket is bounded: past bucketCap distinct graphs the least
-	// recently used one is displaced, never the whole key.
-	for i := 0; i < bucketCap; i++ {
-		c.put("k", strings.Repeat("x", i+1), VerdictDTO{})
-	}
-	if _, ok := c.get("k", "graphA"); ok {
-		t.Errorf("oldest bucket item survived %d newer collisions (cap %d)", bucketCap, bucketCap)
-	}
-	if _, ok := c.get("k", strings.Repeat("x", bucketCap)); !ok {
-		t.Errorf("newest bucket item missing after displacement")
-	}
-}
-
-// TestCertCollidingGraphsBothStayWarm is the end-to-end regression for the
-// eviction bug: Petersen and the 5-prism share an iso certificate (WL-1
-// cannot split 3-regular vertex-transitive graphs), so before the per-key
-// bucket, checking them alternately evicted each other on every request —
-// and each repeat was a full recertification. Now both stay warm, and each
-// hit returns its own graph's verdict, bit-identical to the cache-less
-// direct path.
+// TestCertCollidingGraphsBothStayWarm: Petersen and the 5-prism share an
+// iso certificate (WL-1 cannot split 3-regular vertex-transitive graphs),
+// so a cache key derived from that canonical form conflates them, and
+// checked alternately they evict each other and recertify on every
+// request. Both must stay warm, and each hit must return its own graph's
+// verdict, bit-identical to the cache-less direct path.
 func TestCertCollidingGraphsBothStayWarm(t *testing.T) {
 	petersen := mustDTO(t, constructions.Petersen())
 	prism := fivePrism()
@@ -158,7 +127,7 @@ func TestDuplicateStormSingleCertification(t *testing.T) {
 	srv, client := newTestServer(t, Config{PoolSize: 1})
 	srv.certifyHook = func() {
 		deadline := time.Now().Add(10 * time.Second)
-		for srv.coal.waiting.Load() < k-1 && time.Now().Before(deadline) {
+		for srv.verdicts.waiting.Load() < k-1 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -218,7 +187,7 @@ func TestCoalescedFollowerHonorsOwnDeadline(t *testing.T) {
 	srv.certifyHook = func() {
 		close(leaderIn)
 		deadline := time.Now().Add(10 * time.Second)
-		for srv.coal.waiting.Load() < 1 && time.Now().Before(deadline) {
+		for srv.verdicts.waiting.Load() < 1 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		close(followerParked)
@@ -252,6 +221,133 @@ func TestCoalescedFollowerHonorsOwnDeadline(t *testing.T) {
 	}
 	if err := <-leaderErr; err != nil {
 		t.Fatalf("leader failed after follower timeout: %v", err)
+	}
+}
+
+// TestPublishRaceSingleCertification is the deterministic regression for
+// the lookup/publish race: a second identical request arriving around the
+// leader's publish must join the leader's flight or hit its verdict, never
+// lead a second certification. Hooks at the lookup and resolve points
+// force each interleaving in turn, with the leader parked just before it
+// publishes and the second request parked just before its lookup:
+//
+//   - the second request looks up before the publish: it must join;
+//   - it arrived before the publish but looks up after it: it must hit;
+//   - its lookup races the publish: it must do one or the other.
+func TestPublishRaceSingleCertification(t *testing.T) {
+	const iterations = 1200
+	req := CheckRequest{Graph: mustDTO(t, constructions.Path(6)), Objective: "sum"}
+	type result struct {
+		resp *CheckResponse
+		err  error
+	}
+	for i := 0; i < iterations; i++ {
+		order := i % 3
+		srv, err := NewServer(Config{CacheSize: 8})
+		if err != nil {
+			t.Fatalf("NewServer: %v", err)
+		}
+		var certs, lookups, resolves atomic.Int32
+		atPublish, publish := make(chan struct{}), make(chan struct{})
+		atLookup, lookup := make(chan struct{}), make(chan struct{})
+		srv.certifyHook = func() { certs.Add(1) }
+		srv.verdicts.resolveHook = func() {
+			if resolves.Add(1) == 1 {
+				close(atPublish)
+				<-publish
+			}
+		}
+		srv.verdicts.lookupHook = func() {
+			if lookups.Add(1) == 2 {
+				close(atLookup)
+				<-lookup
+			}
+		}
+		first, second := make(chan result, 1), make(chan result, 1)
+		run := func(out chan<- result) {
+			resp, err := srv.Check(context.Background(), req)
+			out <- result{resp, err}
+		}
+		go run(first)
+		<-atPublish
+		go run(second)
+		<-atLookup
+		var leader result
+		switch order {
+		case 0:
+			close(lookup)
+			deadline := time.Now().Add(10 * time.Second)
+			for srv.verdicts.waiting.Load() < 1 {
+				if time.Now().After(deadline) {
+					close(publish)
+					t.Fatalf("iteration %d: second request never joined the leader's flight", i)
+				}
+				runtime.Gosched()
+			}
+			close(publish)
+			leader = <-first
+		case 1:
+			close(publish)
+			leader = <-first
+			close(lookup)
+		case 2:
+			close(lookup)
+			close(publish)
+			leader = <-first
+		}
+		got := <-second
+		if leader.err != nil || got.err != nil {
+			t.Fatalf("iteration %d: leader err %v, second err %v", i, leader.err, got.err)
+		}
+		if n := certs.Load(); n != 1 {
+			t.Fatalf("iteration %d (order %d): %d certifications for one key", i, order, n)
+		}
+		joined, hit := got.resp.Coalesced, got.resp.Cached && !got.resp.Coalesced
+		if (order == 0 && !joined) || (order == 1 && !hit) || !(joined || hit) {
+			t.Fatalf("iteration %d (order %d): second request coalesced=%t cached=%t",
+				i, order, got.resp.Coalesced, got.resp.Cached)
+		}
+		if !reflect.DeepEqual(got.resp.VerdictDTO, leader.resp.VerdictDTO) {
+			t.Fatalf("iteration %d: second verdict %+v, leader %+v", i, got.resp.VerdictDTO, leader.resp.VerdictDTO)
+		}
+		if snap := srv.Stats(); snap.Cache.Misses != 1 || snap.Coalesce.Leaders != 1 {
+			t.Fatalf("iteration %d: misses %d leaders %d, want 1/1", i, snap.Cache.Misses, snap.Coalesce.Leaders)
+		}
+		srv.Close()
+	}
+}
+
+// TestTimeoutBoundsPreAdmissionWork pins that nothing super-linear runs
+// before the request deadline and the session pool: a timeout_ms: 1 check
+// of a path at the default MaxN answers within a second, either 504 or the
+// cache-less reference's verdict.
+func TestTimeoutBoundsPreAdmissionWork(t *testing.T) {
+	_, client := newTestServer(t, Config{})
+	ref, err := NewServer(Config{CacheSize: -1, DefaultTimeout: -1})
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	path := mustDTO(t, constructions.Path(defaultMaxN))
+	for _, obj := range []string{"sum", "max"} {
+		start := time.Now()
+		got, err := client.Check(context.Background(), CheckRequest{Graph: path, Objective: obj, TimeoutMS: 1})
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("%s: timeout_ms 1 check of Path(%d) answered after %v", obj, defaultMaxN, elapsed)
+		}
+		if err != nil {
+			var ae *apiError
+			if !asAPIError(err, &ae) || ae.Status != http.StatusGatewayTimeout {
+				t.Errorf("%s: got %v, want 504 or the verdict", obj, err)
+			}
+			continue
+		}
+		want, err := ref.Check(context.Background(), CheckRequest{Graph: path, Objective: obj})
+		if err != nil {
+			t.Fatalf("%s: reference check: %v", obj, err)
+		}
+		if !reflect.DeepEqual(got.VerdictDTO, want.VerdictDTO) {
+			t.Errorf("%s: verdict %+v, reference %+v", obj, got.VerdictDTO, want.VerdictDTO)
+		}
 	}
 }
 
@@ -364,62 +460,175 @@ func TestStoreToleratesCorruptLines(t *testing.T) {
 }
 
 // TestStoreSeedsFromAtlas boots a store warm-started from the checked-in
-// equilibrium atlas and replays one corpus entry as a live check request:
-// the answer must come from the store with the corpus verdict, zero
-// certifications run.
+// equilibrium atlas and replays every corpus entry as a live check
+// request: each answer must come from the store with the corpus verdict,
+// zero certifications run. One fresh certification then compacts the
+// journal (a 1-byte bound), copying every seeded line into it by offset,
+// and a restart on the compacted journal alone must serve the same
+// verdicts again.
 func TestStoreSeedsFromAtlas(t *testing.T) {
 	const corpus = "../../testdata/atlas"
 	raw, err := os.ReadFile(filepath.Join(corpus, "atlas.jsonl"))
 	if err != nil {
 		t.Skipf("no checked-in atlas corpus: %v", err)
 	}
-	var entry StoreEntry
-	n := 0
+	var entries []StoreEntry
 	for _, line := range strings.Split(string(raw), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if n == 0 {
-			if err := json.Unmarshal([]byte(line), &entry); err != nil {
-				t.Fatalf("corpus line does not parse as a StoreEntry: %v", err)
-			}
+		var e StoreEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("corpus line does not parse as a StoreEntry: %v", err)
 		}
-		n++
+		entries = append(entries, e)
 	}
-	if n == 0 {
+	if len(entries) == 0 {
 		t.Fatalf("empty atlas corpus")
 	}
+	fresh := CheckRequest{Graph: mustDTO(t, constructions.Path(9)), Objective: "sum"}
+	var certified VerdictDTO
+	serveAll := func(srv *Server, boot string) {
+		t.Helper()
+		for _, e := range entries {
+			got, err := srv.Check(context.Background(), CheckRequest{
+				Graph:      GraphDTO{Format: FormatSparse6, Data: e.Sparse6},
+				Model:      e.Model,
+				Objective:  e.Objective,
+				StableOnly: e.StableOnly,
+			})
+			if err != nil {
+				t.Fatalf("%s: check of corpus entry %s: %v", boot, e.ID, err)
+			}
+			if !got.Stored {
+				t.Fatalf("%s: corpus entry %s not served from the store", boot, e.ID)
+			}
+			if want := e.verdict(); !reflect.DeepEqual(got.VerdictDTO, want) {
+				t.Errorf("%s: entry %s served %+v, corpus says %+v", boot, e.ID, got.VerdictDTO, want)
+			}
+		}
+		if snap := srv.Stats(); snap.Cache.Misses != 0 {
+			t.Errorf("%s: %d certifications run for stored entries", boot, snap.Cache.Misses)
+		}
+	}
 
+	path := filepath.Join(t.TempDir(), "verdicts.jsonl")
 	srv, err := NewServer(Config{
-		StorePath: filepath.Join(t.TempDir(), "verdicts.jsonl"),
-		StoreSeed: corpus, // a directory: resolves to atlas.jsonl inside
+		StorePath:     path,
+		StoreSeed:     corpus, // a directory: resolves to atlas.jsonl inside
+		StoreMaxBytes: 1,
 	})
 	if err != nil {
 		t.Fatalf("boot with atlas seed: %v", err)
 	}
-	defer srv.Close()
-	if snap := srv.Stats(); snap.Store.Entries != n {
-		t.Errorf("seeded %d store entries from a %d-line corpus", snap.Store.Entries, n)
+	if snap := srv.Stats(); snap.Store.Entries != len(entries) {
+		t.Errorf("seeded %d store entries from a %d-line corpus", snap.Store.Entries, len(entries))
 	}
-
-	got, err := srv.Check(context.Background(), CheckRequest{
-		Graph:      GraphDTO{Format: FormatSparse6, Data: entry.Sparse6},
-		Model:      entry.Model,
-		Objective:  entry.Objective,
-		StableOnly: entry.StableOnly,
-	})
+	serveAll(srv, "seeded")
+	got, err := srv.Check(context.Background(), fresh)
 	if err != nil {
-		t.Fatalf("check of corpus entry %s: %v", entry.ID, err)
+		t.Fatalf("fresh certification: %v", err)
 	}
-	if !got.Stored {
-		t.Fatalf("corpus entry %s not served from the seeded store", entry.ID)
+	certified = got.VerdictDTO
+	if snap := srv.Stats(); snap.Store.Appends != 1 || snap.Store.Errors != 0 {
+		t.Fatalf("fresh certification: %d appends, %d errors", snap.Store.Appends, snap.Store.Errors)
 	}
-	if got.Stable != entry.Stable {
-		t.Errorf("served verdict stable=%t, corpus says %t", got.Stable, entry.Stable)
+	srv.Close()
+
+	srv, err = NewServer(Config{StorePath: path})
+	if err != nil {
+		t.Fatalf("boot over the compacted journal: %v", err)
 	}
-	if snap := srv.Stats(); snap.Cache.Misses != 0 {
-		t.Errorf("%d certifications run for a seeded entry", snap.Cache.Misses)
+	defer srv.Close()
+	if snap := srv.Stats(); snap.Store.Entries != len(entries)+1 {
+		t.Errorf("compacted journal replayed %d entries, want %d", snap.Store.Entries, len(entries)+1)
+	}
+	serveAll(srv, "restarted")
+	got, err = srv.Check(context.Background(), fresh)
+	if err != nil || !got.Stored || !reflect.DeepEqual(got.VerdictDTO, certified) {
+		t.Errorf("journaled verdict after compaction + restart: %+v err %v, want stored %+v", got, err, certified)
+	}
+}
+
+// TestStoreHitNeedsExactLine: the index's digest only locates a line; a
+// hit re-reads it and must find exactly the graph and spec asked for, so
+// a digest that locates another graph's or another spec's line is a miss.
+func TestStoreHitNeedsExactLine(t *testing.T) {
+	s, err := openVerdictStore(Config{StorePath: filepath.Join(t.TempDir(), "verdicts.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	a, b := mustDTO(t, constructions.Path(6)).Data, mustDTO(t, constructions.Star(6)).Data
+	sum, max := CheckRequest{Objective: "sum"}, CheckRequest{Objective: "max"}
+	aSum, aMax, bSum := checkKey(sum, a), checkKey(max, a), checkKey(sum, b)
+	unstable := VerdictDTO{Violation: &ViolationDTO{Kind: "swap-improves", Agent: 0, OldCost: 15, NewCost: 11}}
+	if err := s.append(aSum, a, sum, unstable); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.append(aMax, a, max, VerdictDTO{Stable: true}); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.get(aSum, a); !ok || !reflect.DeepEqual(v, unstable) {
+		t.Fatalf("genuine hit: %+v ok=%t", v, ok)
+	}
+	if _, ok := s.get(aSum, b); ok {
+		t.Errorf("a probe for another exact graph hit")
+	}
+	s.index[bSum] = s.index[aSum]
+	if _, ok := s.get(bSum, b); ok {
+		t.Errorf("a digest locating another graph's line hit")
+	}
+	s.index[aMax] = s.index[aSum]
+	if _, ok := s.get(aMax, a); ok {
+		t.Errorf("a digest locating another spec's line hit")
+	}
+}
+
+// TestStoreIndexHeapPerVerdict bounds what the unbounded store index keeps
+// resident per verdict. Interests-model lines at n = 192 carry a few KB of
+// graph and interest sets each; the index must hold none of it, only the
+// digest, the verdict and the line's location.
+func TestStoreIndexHeapPerVerdict(t *testing.T) {
+	const lines, n, bound = 500, 192, 512
+	path := filepath.Join(t.TempDir(), "verdicts.jsonl")
+	s, err := openVerdictStore(Config{StorePath: path, StoreFsyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := CheckRequest{Model: ModelDTO{Name: "interests", Interests: ringInterests(n)}, Objective: "sum"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < lines; i++ {
+		g := graph.New(n)
+		for v := 1; v < n; v++ {
+			g.AddEdge(v, rng.Intn(v))
+		}
+		exact := mustDTO(t, g).Data
+		v := VerdictDTO{Violation: &ViolationDTO{
+			Kind: "swap-improves", Move: &MoveDTO{V: i % n, Drop: 1, Add: 2}, Agent: i % n, OldCost: 900, NewCost: 800,
+		}}
+		if err := s.append(checkKey(req, exact), exact, req, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err = openVerdictStore(Config{StorePath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer s.close()
+	if s.len() != lines {
+		t.Fatalf("replayed %d verdicts, want %d", s.len(), lines)
+	}
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / lines; per > bound {
+		t.Errorf("store index holds %d B per verdict, want at most %d", per, bound)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/game"
 	"repro/internal/graph"
 	"repro/internal/graphio"
-	"repro/internal/iso"
 	"repro/internal/pricing"
 )
 
@@ -97,20 +96,19 @@ func (c Config) withDefaults() Config {
 // Server is the long-lived equilibrium service. It owns the bounded
 // session pool (a semaphore over concurrently held pricing sessions, all
 // drawing scratch from the warm pricing.Shared engine registry) and the
-// verdict LRU, and exposes the check / best-response / dynamics operations
-// both as Go methods (the CLI's thin-client path) and as HTTP handlers
-// over the same DTOs.
+// verdict table (the LRU and the in-flight certifications), and exposes
+// the check / best-response / dynamics operations both as Go methods (the
+// CLI's thin-client path) and as HTTP handlers over the same DTOs.
 type Server struct {
-	cfg   Config
-	slots chan struct{}
-	cache *verdictCache
-	store *verdictStore // nil without Config.StorePath
-	coal  *coalescer
-	stats *stats
+	cfg      Config
+	slots    chan struct{}
+	verdicts *verdictTable
+	store    *verdictStore // nil without Config.StorePath
+	stats    *stats
 	// certifyHook, when set, runs on the leader's goroutine immediately
 	// before a cache-miss certification — a test seam that lets the storm
 	// test hold the one certification until every duplicate has parked on
-	// the coalescer.
+	// the leader's flight.
 	certifyHook func()
 }
 
@@ -126,12 +124,11 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		cfg:   cfg,
-		slots: make(chan struct{}, cfg.PoolSize),
-		cache: newVerdictCache(cfg.CacheSize),
-		store: store,
-		coal:  newCoalescer(),
-		stats: newStats(),
+		cfg:      cfg,
+		slots:    make(chan struct{}, cfg.PoolSize),
+		verdicts: newVerdictTable(cfg.CacheSize),
+		store:    store,
+		stats:    newStats(),
 	}, nil
 }
 
@@ -220,20 +217,12 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// checkCacheKey fingerprints a check request for the verdict LRU: the
-// graph's isomorphism certificate plus everything of the spec that can
-// change the verdict bits. Workers are excluded (verdicts are identical
-// for every worker count); Batched is included because Verdict.Batched
-// reports the executed path and must round-trip identically.
-func checkCacheKey(cert string, req CheckRequest) string {
-	return fmt.Sprintf("%s|%s|%s|so=%t|b=%t",
-		cert, req.Model.cacheKey(), objectiveName(req.Objective), req.StableOnly, req.Batched)
-}
-
-// Check answers a CheckRequest: decode, consult the verdict LRU and the
-// persistent store, coalesce with any identical in-flight request, and
-// otherwise run the spec'd check on a pooled session with the request
-// deadline enforced between per-agent scan units.
+// Check answers a CheckRequest: decode, then look the exact labeled
+// graph and spec up in the verdict table, joining an identical in-flight
+// request if there is one; a leader consults the persistent store and
+// otherwise runs the spec'd check on a pooled session with the request
+// deadline enforced between per-agent scan units. Everything before the
+// deadline and the pool is linear in the request.
 //
 // Latency is tracked per outcome, not pooled: "check" counts full
 // certifications (leaders), "check.hit" LRU hits, "check.store" store
@@ -265,65 +254,73 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, s
 	if err != nil {
 		return nil, label, errBadRequest("bad graph: %v", err)
 	}
-	key := checkCacheKey(iso.Certificate(g), req)
-	if v, ok := s.cache.get(key, exact); ok {
+	key := checkKey(req, exact)
+	v, f, lead := s.verdicts.getOrLead(key, exact)
+	if f == nil {
 		s.stats.cacheHit()
 		return &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: v, Cached: true}, "check.hit", nil
-	}
-	if v, ok := s.store.get(key, exact); ok {
-		s.stats.storeHit()
-		s.cache.put(key, exact, v)
-		return &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: v, Cached: true, Stored: true}, "check.store", nil
 	}
 
 	ctx, cancel := s.withDeadline(ctx, req.TimeoutMS)
 	defer cancel()
-
-	// Coalesce on the cache identity extended with the exact labeled
-	// graph: concurrent identical requests share one certification and
-	// one session slot. The leader caches and journals before the flight
-	// resolves, so by the time any follower (or a later request) proceeds
-	// the verdict is already servable without recomputation.
-	resp, led, err := s.coal.do(ctx, key+"\x00"+exact, func() (*CheckResponse, error) {
-		s.stats.cacheMiss()
-		release, err := s.acquire(ctx)
+	if !lead {
+		resp, err := s.verdicts.wait(ctx, f)
 		if err != nil {
-			return nil, classify(err)
+			return nil, "check.coalesced", classify(err)
 		}
-		defer release()
-		if hook := s.certifyHook; hook != nil {
-			hook()
-		}
-		verdict, err := core.CheckCtx(ctx, g, core.CheckSpec{
+		s.stats.coalesceFollower()
+		resp.Coalesced = true
+		return resp, "check.coalesced", nil
+	}
+
+	// The leader probes the store inside its flight, and journals a fresh
+	// verdict before it resolves, so by the time any follower (or a later
+	// request) proceeds the verdict is servable without recomputation —
+	// from the LRU or, with caching off, from the store.
+	var resp *CheckResponse
+	if v, ok := s.store.get(key, exact); ok {
+		s.stats.storeHit()
+		resp = &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: v, Cached: true, Stored: true}
+	} else {
+		resp, err = s.certify(ctx, g, core.CheckSpec{
 			Model:      model,
 			Objective:  obj,
 			StableOnly: req.StableOnly,
 			Batched:    req.Batched,
 			Workers:    s.clampWorkers(req.Workers),
 		})
-		if err != nil {
-			return nil, classify(err)
+		if err == nil && s.store != nil {
+			s.stats.storeAppend(s.store.append(key, exact, req, resp.VerdictDTO) != nil)
 		}
-		v := verdictToDTO(verdict)
-		s.cache.put(key, exact, v)
-		if s.store != nil {
-			s.stats.storeAppend(s.store.append(key, exact, req, v) != nil)
-		}
-		return &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: v}, nil
-	})
-	if led {
-		if err != nil {
-			return nil, label, err
-		}
-		s.stats.coalesceLeader()
-		return resp, label, nil
 	}
+	s.verdicts.resolve(key, f, resp, err)
 	if err != nil {
-		return nil, "check.coalesced", classify(err)
+		return nil, label, err
 	}
-	s.stats.coalesceFollower()
-	resp.Coalesced = true
-	return resp, "check.coalesced", nil
+	cp := *resp // followers copy the flight's response; the caller owns this one
+	if resp.Stored {
+		return &cp, "check.store", nil
+	}
+	s.stats.coalesceLeader()
+	return &cp, label, nil
+}
+
+// certify runs one cache-miss certification on a pooled session.
+func (s *Server) certify(ctx context.Context, g *graph.Graph, spec core.CheckSpec) (*CheckResponse, error) {
+	s.stats.cacheMiss()
+	release, err := s.acquire(ctx)
+	if err != nil {
+		return nil, classify(err)
+	}
+	defer release()
+	if hook := s.certifyHook; hook != nil {
+		hook()
+	}
+	verdict, err := core.CheckCtx(ctx, g, spec)
+	if err != nil {
+		return nil, classify(err)
+	}
+	return &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: verdictToDTO(verdict)}, nil
 }
 
 // BestResponse answers a BestResponseRequest: one agent's cost-minimizing
@@ -533,7 +530,7 @@ func traceEntryToDTO(te dynamics.TraceEntry) TraceEntryDTO {
 
 // Stats returns the live counter snapshot served on GET /stats.
 func (s *Server) Stats() StatsSnapshot {
-	return s.stats.snapshot(s.cache.len(), s.store != nil, s.store.len())
+	return s.stats.snapshot(s.verdicts.len(), s.store != nil, s.store.len())
 }
 
 // Handler returns the HTTP surface: POST /v1/check, /v1/bestresponse,

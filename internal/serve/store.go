@@ -2,16 +2,16 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
+	"unicode"
 
 	"repro/internal/graphio"
-	"repro/internal/iso"
 )
 
 // StoreEntry is one line of the persistent verdict journal: a graph, the
@@ -57,45 +57,41 @@ func (e *StoreEntry) verdict() VerdictDTO {
 	return VerdictDTO{Stable: e.Stable, Violation: e.Witness, Batched: e.BatchedRan}
 }
 
-// replayKey recomputes the entry's verdict-cache key from its graph and
-// spec. Decoding validates the line; entries whose graphs fail to decode
-// are skipped by the tolerant readers.
-func (e *StoreEntry) replayKey() (string, error) {
-	g, err := graphio.FromSparse6(e.Sparse6)
-	if err != nil {
-		return "", err
-	}
-	req := CheckRequest{Model: e.Model, Objective: e.Objective, StableOnly: e.StableOnly, Batched: e.Batched}
-	return checkCacheKey(iso.Certificate(g), req), nil
+// key recomputes the entry's verdict key from its spec and graph.
+func (e *StoreEntry) key() verdictKey {
+	return checkKey(CheckRequest{Model: e.Model, Objective: e.Objective, StableOnly: e.StableOnly, Batched: e.Batched}, e.Sparse6)
 }
 
-// verdictStore is the persistent side of the verdict cache: an
+// verdictStore is the persistent side of the verdict table: an
 // append-only JSONL journal of certified verdicts, replayed into an
-// in-memory index at boot and appended on every cache-miss certification,
-// so a restarted server answers previously certified checks without
+// in-memory index at boot and appended on every certification, so a
+// restarted server answers previously certified checks without
 // recomputation. All methods are nil-receiver-safe: a server without a
 // configured store path carries a nil store.
 //
-// The index mirrors the LRU's soundness rule — per key, a bucket of
-// exact labeled graphs — but is unbounded: the journal is the durable
-// record, and its size is governed by compaction (StoreMaxBytes), not
-// by eviction.
+// The index is unbounded — the journal is the durable record, and its
+// size is governed by compaction (StoreMaxBytes), not by eviction — so it
+// holds no graphs: per verdictKey only the verdict and where its line
+// lives. A hit re-reads that line and serves the verdict only if the line
+// names the exact labeled graph and spec asked for.
 type verdictStore struct {
 	mu         sync.Mutex
 	path       string
-	f          *os.File
-	index      map[string][]storeItem
-	items      int
+	f          *os.File // the journal, read by offset and appended at its end
+	seed       *os.File // the read-only seed corpus, nil without one
+	index      map[verdictKey]storeLoc
 	size       int64 // journal bytes written, drives compaction
 	appends    uint64
 	fsyncEvery int   // 1 = every append, N = every N appends, 0 = never
 	maxBytes   int64 // compact when the journal exceeds this (0 = never)
 }
 
-type storeItem struct {
-	exact   string
-	entry   StoreEntry
+// storeLoc is one indexed verdict and the location of its line.
+type storeLoc struct {
 	verdict VerdictDTO
+	off     int64 // byte offset of the line's JSON in its file
+	n       int32 // length of the line's JSON, without the newline
+	seed    bool  // the line lives in the seed corpus, not the journal
 }
 
 // openVerdictStore opens (creating if absent) the journal at
@@ -116,7 +112,7 @@ func openVerdictStore(cfg Config) (*verdictStore, error) {
 	}
 	s := &verdictStore{
 		path:       cfg.StorePath,
-		index:      make(map[string][]storeItem),
+		index:      make(map[verdictKey]storeLoc),
 		fsyncEvery: fsyncEvery,
 		maxBytes:   cfg.StoreMaxBytes,
 	}
@@ -125,97 +121,102 @@ func openVerdictStore(cfg Config) (*verdictStore, error) {
 		if fi, err := os.Stat(seed); err == nil && fi.IsDir() {
 			seed = filepath.Join(seed, "atlas.jsonl")
 		}
-		if err := s.loadFile(seed); err != nil {
+		f, err := os.Open(seed)
+		if err != nil {
+			return nil, fmt.Errorf("serve: store seed %s: %w", seed, err)
+		}
+		s.seed = f
+		if _, err := s.load(f, true); err != nil {
+			f.Close()
 			return nil, fmt.Errorf("serve: store seed %s: %w", seed, err)
 		}
 	}
-	if err := s.loadFile(cfg.StorePath); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("serve: store %s: %w", cfg.StorePath, err)
+	f, err := os.OpenFile(cfg.StorePath, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err == nil {
+		s.f = f
+		s.size, err = s.load(f, false)
 	}
-	f, err := os.OpenFile(cfg.StorePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		s.close()
 		return nil, fmt.Errorf("serve: store %s: %w", cfg.StorePath, err)
 	}
-	if fi, err := f.Stat(); err == nil {
-		s.size = fi.Size()
-	}
-	s.f = f
 	return s, nil
 }
 
-// loadFile replays one JSONL file into the index. Comment ('#') and blank
-// lines are skipped; lines that fail to parse or whose graphs fail to
-// decode are tolerated and skipped (a torn tail write must not brick the
-// boot), except when the file itself cannot be read.
-func (s *verdictStore) loadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
+// load replays one JSONL file into the index and returns its size.
+// Comment ('#') and blank lines are skipped; lines that fail to parse or
+// whose graphs fail to decode are tolerated and skipped (a torn tail
+// write must not brick the boot), except when the file itself cannot be
+// read. Later lines win: journal over seed, newer appends over older.
+func (s *verdictStore) load(f *os.File, seed bool) (int64, error) {
+	r := bufio.NewReader(f)
+	var off int64
+	for {
+		line, err := r.ReadBytes('\n')
+		body := bytes.TrimLeftFunc(line, unicode.IsSpace)
+		start := off + int64(len(line)-len(body))
+		body = bytes.TrimRightFunc(body, unicode.IsSpace)
+		off += int64(len(line))
 		var e StoreEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			continue
+		if len(body) > 0 && body[0] != '#' && json.Unmarshal(body, &e) == nil {
+			if _, derr := graphio.FromSparse6(e.Sparse6); derr == nil {
+				s.index[e.key()] = storeLoc{verdict: e.verdict(), off: start, n: int32(len(body)), seed: seed}
+			}
 		}
-		key, err := e.replayKey()
+		if err == io.EOF {
+			return off, nil
+		}
 		if err != nil {
-			continue
-		}
-		s.insert(key, e.Sparse6, e)
-	}
-	return sc.Err()
-}
-
-// insert records an entry in the index, replacing the verdict of an
-// already-present (key, exact) pair (later lines win: journal over seed,
-// newer appends over older).
-func (s *verdictStore) insert(key, exact string, e StoreEntry) {
-	bucket := s.index[key]
-	for i := range bucket {
-		if bucket[i].exact == exact {
-			bucket[i].entry, bucket[i].verdict = e, e.verdict()
-			return
+			return off, err
 		}
 	}
-	s.index[key] = append(bucket, storeItem{exact: exact, entry: e, verdict: e.verdict()})
-	s.items++
 }
 
-// get returns the stored verdict for (key, exact graph), if present.
-func (s *verdictStore) get(key, exact string) (VerdictDTO, bool) {
+// get returns the stored verdict for (key, exact graph), if present. The
+// indexed line is re-read and must name exactly this graph and spec.
+func (s *verdictStore) get(key verdictKey, exact string) (VerdictDTO, bool) {
 	if s == nil {
 		return VerdictDTO{}, false
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, it := range s.index[key] {
-		if it.exact == exact {
-			return it.verdict, true
-		}
+	loc, ok := s.index[key]
+	var line []byte
+	if ok {
+		var err error
+		line, err = s.readLocked(loc)
+		ok = err == nil
 	}
-	return VerdictDTO{}, false
+	s.mu.Unlock()
+	if !ok {
+		return VerdictDTO{}, false
+	}
+	var e StoreEntry
+	if json.Unmarshal(line, &e) != nil || e.Sparse6 != exact || e.key() != key {
+		return VerdictDTO{}, false
+	}
+	return loc.verdict, true
+}
+
+// readLocked reads an indexed line's JSON from the file holding it.
+func (s *verdictStore) readLocked(loc storeLoc) ([]byte, error) {
+	f := s.f
+	if loc.seed {
+		f = s.seed
+	}
+	line := make([]byte, loc.n)
+	_, err := f.ReadAt(line, loc.off)
+	return line, err
 }
 
 // append journals a freshly certified verdict and indexes it. The write
 // is fsynced per the configured policy; exceeding the size bound triggers
-// a compaction that rewrites one line per indexed (key, exact) pair.
-func (s *verdictStore) append(key, exact string, req CheckRequest, v VerdictDTO) error {
+// a compaction that rewrites one line per indexed verdict.
+func (s *verdictStore) append(key verdictKey, exact string, req CheckRequest, v VerdictDTO) error {
 	if s == nil {
 		return nil
 	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h.Write([]byte{0})
-	h.Write([]byte(exact))
 	e := StoreEntry{
-		ID:         fmt.Sprintf("sv-%016x", h.Sum64()),
+		ID:         fmt.Sprintf("sv-%x", key[:8]),
 		Kind:       "verdict",
 		Source:     "serve",
 		Sparse6:    exact,
@@ -235,11 +236,13 @@ func (s *verdictStore) append(key, exact string, req CheckRequest, v VerdictDTO)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.insert(key, exact, e)
-	if _, err := s.f.Write(b); err != nil {
+	off := s.size
+	n, err := s.f.Write(b)
+	s.size += int64(n)
+	if err != nil {
 		return err
 	}
-	s.size += int64(len(b))
+	s.index[key] = storeLoc{verdict: v, off: off, n: int32(len(b) - 1)}
 	s.appends++
 	if s.fsyncEvery > 0 && s.appends%uint64(s.fsyncEvery) == 0 {
 		if err := s.f.Sync(); err != nil {
@@ -253,62 +256,67 @@ func (s *verdictStore) append(key, exact string, req CheckRequest, v VerdictDTO)
 }
 
 // compactLocked rewrites the journal with exactly one line per indexed
-// (key, exact) pair — the live verdicts — via a temp file and rename, so
-// a crash mid-compaction leaves either the old or the new journal intact.
+// verdict — the live lines, copied by offset — via a temp file and rename,
+// so a crash mid-compaction leaves either the old or the new journal
+// intact. The index moves to the new offsets only once the rename has
+// succeeded.
 func (s *verdictStore) compactLocked() error {
 	tmp := s.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
+	fail := func(err error) error {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	w := bufio.NewWriter(f) // write errors are sticky: Flush reports them
+	index := make(map[verdictKey]storeLoc, len(s.index))
 	var size int64
-	for _, bucket := range s.index {
-		for i := range bucket {
-			b, err := json.Marshal(&bucket[i].entry)
-			if err != nil {
-				f.Close()
-				return err
-			}
-			b = append(b, '\n')
-			if _, err := f.Write(b); err != nil {
-				f.Close()
-				return err
-			}
-			size += int64(len(b))
+	for k, loc := range s.index {
+		line, err := s.readLocked(loc)
+		if err != nil {
+			return fail(err)
 		}
+		w.Write(line)
+		w.WriteByte('\n')
+		index[k] = storeLoc{verdict: loc.verdict, off: size, n: loc.n}
+		size += int64(loc.n) + 1
+	}
+	if err := w.Flush(); err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
+		return fail(err)
 	}
 	if err := os.Rename(tmp, s.path); err != nil {
-		return err
+		return fail(err)
 	}
 	s.f.Close()
-	nf, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	s.f, s.size = nf, size
+	s.f, s.size, s.index = f, size, index
 	return nil
 }
 
-// len returns the number of indexed (key, exact) verdicts.
+// len returns the number of indexed verdicts.
 func (s *verdictStore) len() int {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.items
+	return len(s.index)
 }
 
-// close releases the journal file handle.
+// close releases the journal and seed file handles.
 func (s *verdictStore) close() error {
-	if s == nil || s.f == nil {
+	if s == nil {
+		return nil
+	}
+	if s.seed != nil {
+		s.seed.Close()
+	}
+	if s.f == nil {
 		return nil
 	}
 	return s.f.Close()
