@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchgate benchmulti fuzz smoke atlas-smoke fmt vet check
+.PHONY: all build test floor race bench benchgate benchmulti fuzz smoke atlas-smoke fmt vet check
 
 all: check
 
@@ -11,6 +11,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The exhaustive conformance floor at n = 6 (every connected labeled
+# 6-vertex graph, every model; `make test` covers n <= 5).
+floor:
+	$(GO) test -run TestConformanceFloor ./internal/game -floor.n=6
 
 race:
 	$(GO) test -race ./internal/...

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/constructions"
 	"repro/internal/core"
 	"repro/internal/dynamics"
 	"repro/internal/experiments"
@@ -157,6 +158,45 @@ func BenchmarkCheckMaxTorusParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ok, _, err := core.CheckMax(g, 0); !ok || err != nil {
 			b.Fatal("torus rejected")
+		}
+	}
+}
+
+// Exact agent pruning. The twin pass runs once per certification sweep
+// after agent 0 is found stable, so on inputs without twins it is pure
+// overhead: hashing every neighborhood, one sort of 2n keys, no
+// confirmed match. Hypercube(8) and the spider with 1,023 legs of length
+// 2 (n = 2,047) are twin-free.
+
+func benchLowerTwins(b *testing.B, g *graph.Graph) {
+	f := g.Freeze()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if game.LowerTwins(f) != nil {
+			b.Fatal("fixture has twins")
+		}
+	}
+}
+
+func BenchmarkLowerTwinsHypercube8(b *testing.B) { benchLowerTwins(b, Hypercube(8)) }
+func BenchmarkLowerTwinsSpider1023(b *testing.B) {
+	benchLowerTwins(b, constructions.Spider(1023, 2))
+}
+
+// BenchmarkCheckSumSpiderHubFirst certifies the spider with the hub at
+// label 0 under sum. Unpruned, the hub (adjacent to 1,023 vertices, within
+// distance two of all) pays a full candidate scan before the sweep reaches
+// the unstable leg at label 1; the locality lemma settles the hub from its
+// own BFS row, so the check costs what the same spider with a leaf first
+// costs.
+func BenchmarkCheckSumSpiderHubFirst(b *testing.B) {
+	g := constructions.Spider(1023, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, _, err := core.CheckSum(g, 1); ok || err != nil {
+			b.Fatal("spider must be sum-unstable")
 		}
 	}
 }

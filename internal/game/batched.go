@@ -99,14 +99,13 @@ func batchRows(ctx context.Context, eng *pricing.Engine, view pricing.Snapshot, 
 // (an admitted winner is identical; no candidate below cur is identical
 // to a best move that fails the strict-improvement check).
 func scanAddMajorBatched(eng *pricing.Engine, view pricing.Snapshot, ps *pricing.Scan,
-	workers int, rows rowLookup, skipAdd func(add int) bool,
-	price func(dropIdx int, dw []int32, threshold int64) (int64, bool),
+	workers int, rows rowLookup, skipAdd func(add int) bool, price rowPrice,
 	cur int64, firstOnly bool, order scan.Order) (scan.Cand, bool) {
 	v := ps.V()
-	drops := ps.Drops()
-	if len(drops) == 0 {
+	if len(ps.Drops()) == 0 {
 		return scan.Cand{}, false
 	}
+	dropRows := ps.DropRows() // built here, before the scan shards
 	spec := scan.Spec{
 		Workers:   workers,
 		N:         view.N(),
@@ -120,15 +119,15 @@ func scanAddMajorBatched(eng *pricing.Engine, view pricing.Snapshot, ps *pricing
 	pricer := func(ws bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
 		shared := rows(add)
 		exact := false
-		for i := range drops {
-			if _, maybe := price(i, shared, threshold()); !maybe {
+		for i, dv := range dropRows {
+			if _, maybe := price(dv, shared, threshold()); !maybe {
 				continue
 			}
 			if !exact {
 				view.BFSSkipVertex(add, v, ws.dist, ws.queue)
 				exact = true
 			}
-			if c, below := price(i, ws.dist, threshold()); below {
+			if c, below := price(dv, ws.dist, threshold()); below {
 				if !yield(i, c) {
 					return
 				}
@@ -177,33 +176,39 @@ func sweepRows(eng *pricing.Engine, ps *pricing.Session, workers int, reuse bool
 	return func(w int) []int32 { return rows[w] }
 }
 
-// batchedFindImprovement is the one batched certification sweep the
-// swap-move session models share: shared rows once (restricted to
-// endpoints some deviator can use), then agents ascending, each agent's
-// filtered first-improving scan configured by the model through vertex —
-// which returns the agent's current cost, its endpoint filter, and its
-// thresholded price reduction over the scan's dropped-edge rows.
+// batchedFindImprovement is the batched certification sweep the
+// interests and budget sessions share: shared rows once (restricted to
+// endpoints some deviator can use), then the sweep driver over agents,
+// each agent's filtered first-improving scan configured by the model
+// through vertex — which returns the agent's current cost, its endpoint
+// filter, and its thresholded price reduction over the scan's
+// dropped-edge rows. prune applies both exact pruning rules (twins in the
+// sweep, the locality lemma per agent): budget sets it, interests cannot.
 func batchedFindImprovement(eng *pricing.Engine, ps *pricing.Session, workers int,
-	reuse bool, needRow func(add int) bool,
-	vertex func(v int, sc *pricing.Scan) (cur int64, skipAdd func(add int) bool,
-		price func(dropIdx int, dw []int32, threshold int64) (int64, bool)),
+	reuse, prune bool, needRow func(add int) bool,
+	vertex func(v int, sc *pricing.Scan) (cur int64, skipAdd func(add int) bool, price rowPrice),
 ) (Move, int64, int64, bool) {
 	view := ps.View()
 	rows := sweepRows(eng, ps, workers, reuse, needRow)
-	n := ps.N()
-	for v := 0; v < n; v++ {
+	var twins adjacency
+	if prune {
+		twins = view
+	}
+	viol, _ := sweep(nil, ps.N(), twins, func(v int) *Violation {
 		sc := ps.NewScan(v)
+		defer sc.Close()
 		cur, skipAdd, price := vertex(v, sc)
+		if prune && withinTwo(sc.CurrentRow()) {
+			return nil
+		}
 		cand, ok := scanAddMajorBatched(eng, view, sc, workers, rows, skipAdd, price, cur,
 			true, scan.ByEnumeration)
-		if ok {
-			m := Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add}
-			sc.Close()
-			return m, cur, cand.Cost, true
+		if !ok {
+			return nil
 		}
-		sc.Close()
-	}
-	return Move{}, 0, 0, false
+		return candViolation(sc, cur, cand)
+	})
+	return viol.asMove()
 }
 
 // FindImprovementBatched is the swap model's batched certification sweep:
@@ -215,16 +220,9 @@ func (s *SwapSession) FindImprovementBatched(obj Objective) (Move, int64, int64,
 }
 
 func (s *SwapSession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
-	view := s.ps.View()
-	return batchedFindImprovement(s.eng, s.ps, s.workers, reuse, nil,
-		func(v int, sc *pricing.Scan) (int64, func(int) bool, func(int, []int32, int64) (int64, bool)) {
-			return sc.CurrentUsage(po),
-				func(add int) bool { return view.HasEdge(v, add) },
-				func(i int, dw []int32, threshold int64) (int64, bool) {
-					return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
-				}
-		})
+	rows := sweepRows(s.eng, s.ps, s.workers, reuse, nil)
+	viol, _ := swapScan(nil, s.eng, s.ps.View(), s.ps.NewScan, obj, false, rows)
+	return viol.asMove()
 }
 
 // FindImprovementBatched is the interests model's batched certification
@@ -237,13 +235,13 @@ func (s *interestsSession) FindImprovementBatched(obj Objective) (Move, int64, i
 func (s *interestsSession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
 	po := pobj(obj)
 	view := s.ps.View()
-	return batchedFindImprovement(s.eng, s.ps, s.workers, reuse, nil,
-		func(v int, sc *pricing.Scan) (int64, func(int) bool, func(int, []int32, int64) (int64, bool)) {
+	return batchedFindImprovement(s.eng, s.ps, s.workers, reuse, false, nil,
+		func(v int, sc *pricing.Scan) (int64, func(int) bool, rowPrice) {
 			set := s.model.set(v)
 			return pricing.UsageSubset(sc.CurrentRow(), set, po),
 				func(add int) bool { return view.HasEdge(v, add) },
-				func(i int, dw []int32, threshold int64) (int64, bool) {
-					return pricing.PatchedSubsetBelow(sc.DropRow(i), dw, set, po, threshold)
+				func(dv, dw []int32, threshold int64) (int64, bool) {
+					return pricing.PatchedSubsetBelow(dv, dw, set, po, threshold)
 				}
 		})
 }
@@ -263,16 +261,14 @@ func (s *budgetSession) FindImprovementBatched(obj Objective) (Move, int64, int6
 func (s *budgetSession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
 	po := pobj(obj)
 	view := s.ps.View()
-	return batchedFindImprovement(s.eng, s.ps, s.workers, reuse,
+	return batchedFindImprovement(s.eng, s.ps, s.workers, reuse, true,
 		func(add int) bool { return view.Degree(add) < s.k },
-		func(v int, sc *pricing.Scan) (int64, func(int) bool, func(int, []int32, int64) (int64, bool)) {
+		func(v int, sc *pricing.Scan) (int64, func(int) bool, rowPrice) {
 			return sc.CurrentUsage(po),
 				func(add int) bool {
 					return view.HasEdge(v, add) || view.Degree(add) >= s.k
 				},
-				func(i int, dw []int32, threshold int64) (int64, bool) {
-					return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
-				}
+				patchedBelow(po)
 		})
 }
 
@@ -291,13 +287,10 @@ func (s *greedySession) FindImprovementBatched(obj Objective) (Move, int64, int6
 
 func (s *greedySession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
 	rows := sweepRows(s.eng, s.ps, s.workers, reuse, nil)
-	n := s.ps.N()
-	for v := 0; v < n; v++ {
-		if m, cur, newCost, ok := s.scanMovesBatched(v, obj, rows, true); ok {
-			return m, cur, newCost, true
-		}
-	}
-	return Move{}, 0, 0, false
+	viol, _ := sweep(nil, s.ps.N(), s.ps.View(), func(v int) *Violation {
+		return improvement(s.scanMovesBatched(v, obj, rows, true))
+	})
+	return viol.asMove()
 }
 
 // scanMovesBatched is scanMoves priced through the shared rows: the same
@@ -365,19 +358,19 @@ func (s *greedySession) scanMovesBatched(v int, obj Objective, rows rowLookup, f
 	// bounds the deviator-excluded row, flagged candidates pay one exact
 	// BFS shared across dropped edges.
 	swapOffset := s.edgeCost * deg
-	drops := psc.Drops()
+	drops, dropRows := psc.Drops(), psc.DropRows()
 	swapPricer := func(ws bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
 		shared := rows(add)
 		exact := false
 		for i := range drops {
-			if _, maybe := pricing.PatchedBelow(psc.DropRow(i), shared, po, threshold()-swapOffset); !maybe {
+			if _, maybe := pricing.PatchedBelow(dropRows[i], shared, po, threshold()-swapOffset); !maybe {
 				continue
 			}
 			if !exact {
 				view.BFSSkipVertex(add, v, ws.dist, ws.queue)
 				exact = true
 			}
-			if c, below := pricing.PatchedBelow(psc.DropRow(i), ws.dist, po, threshold()-swapOffset); below {
+			if c, below := pricing.PatchedBelow(dropRows[i], ws.dist, po, threshold()-swapOffset); below {
 				if !yield(i, swapOffset+c) {
 					return
 				}
@@ -419,37 +412,10 @@ func CheckSwapBatchedCtx(ctx context.Context, g *graph.Graph, obj Objective, wor
 	if err != nil {
 		return false, nil, err
 	}
-	po := pobj(obj)
-	for v := 0; v < n; v++ {
-		if err := pollCtx(ctx); err != nil {
-			return false, nil, err
-		}
-		sc := eng.NewScan(f, v)
-		cur := sc.CurrentUsage(po)
-		if obj == Max && deletionCritical {
-			if viol := deletionViolation(sc, v, cur); viol != nil {
-				sc.Close()
-				return false, viol, nil
-			}
-		}
-		cand, ok := scanAddMajorBatched(eng, f, sc, workers, func(w int) []int32 { return rows[w] },
-			func(add int) bool { return f.HasEdge(v, add) },
-			func(i int, dw []int32, threshold int64) (int64, bool) {
-				return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
-			},
-			cur, true, scan.ByEnumeration)
-		if ok {
-			viol := &Violation{
-				Kind:    SwapImproves,
-				Move:    Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add},
-				Agent:   v,
-				OldCost: cur,
-				NewCost: cand.Cost,
-			}
-			sc.Close()
-			return false, viol, nil
-		}
-		sc.Close()
+	viol, err := swapScan(ctx, eng, f, func(v int) *pricing.Scan { return eng.NewScan(f, v) },
+		obj, deletionCritical, func(w int) []int32 { return rows[w] })
+	if err != nil {
+		return false, nil, err
 	}
-	return true, nil, nil
+	return viol == nil, viol, nil
 }

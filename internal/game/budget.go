@@ -135,6 +135,9 @@ func (s *budgetSession) scanMoves(v int, obj Objective, firstOnly bool) (Move, i
 	scan := s.ps.NewScan(v)
 	defer scan.Close()
 	cur := scan.CurrentUsage(po)
+	if withinTwo(scan.CurrentRow()) {
+		return Move{}, cur, cur, false
+	}
 	// Skip infeasible fresh targets (no budget room) and adds onto existing
 	// neighbors — the latter are pure deletions, which never price strictly
 	// below cur under a distance cost (the naive oracle keeps enumerating
@@ -143,9 +146,7 @@ func (s *budgetSession) scanMoves(v int, obj Objective, firstOnly bool) (Move, i
 		func(add int) bool {
 			return view.HasEdge(v, add) || view.Degree(add) >= s.k
 		},
-		func(i int, dw []int32, threshold int64) (int64, bool) {
-			return pricing.PatchedBelow(scan.DropRow(i), dw, po, threshold)
-		},
+		patchedBelow(po),
 		cur, firstOnly)
 	if !found {
 		return Move{}, cur, cur, false
@@ -205,6 +206,10 @@ func (s *budgetSession) FindImprovement(obj Objective) (Move, int64, int64, bool
 	return findImprovement(s, obj)
 }
 
+// twinView declares the budget model's agents interchangeable: the budget
+// K is the same for every vertex (see sweep).
+func (s *budgetSession) twinView() adjacency { return s.ps.View() }
+
 func (s *budgetSession) CheckStable(obj Objective) (bool, *Violation, error) {
 	return sweepStable(s, obj)
 }
@@ -249,8 +254,8 @@ func (s *budgetNaive) scanMoves(v int, obj Objective, firstOnly bool) (Move, int
 		func(add int) bool {
 			return budgetFresh(v, add, f.HasEdge) && f.Degree(add) >= s.k
 		},
-		func(i int, dw []int32, threshold int64) (int64, bool) {
-			c := pricing.Patched(scan.DropRow(i), dw, po)
+		func(dv, dw []int32, threshold int64) (int64, bool) {
+			c := pricing.Patched(dv, dw, po)
 			return c, c < threshold
 		},
 		cur, firstOnly)

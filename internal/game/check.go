@@ -4,18 +4,17 @@ import (
 	"context"
 
 	"repro/internal/graph"
+	"repro/internal/pricing"
 )
 
 // This file is the context-aware face of the certification machinery: the
 // same sweeps as CheckSwap / Instance.CheckStable / the batched passes,
-// with cooperative cancellation polled between per-agent scan units. A
-// long-lived service (internal/serve) needs to abandon a half-done
-// whole-graph sweep when the client's deadline expires; the per-agent scan
-// is the natural poll granularity — each unit is one bounded bundle of BFS
-// work, so cancellation latency is one agent's scan, not one whole sweep.
-// All *Ctx functions return ctx.Err() on cancellation and are otherwise
-// bit-identical to their context-free counterparts (which delegate here
-// with a nil context).
+// with cooperative cancellation polled between per-agent scan units by
+// the sweep driver (sweep.go). A long-lived service (internal/serve) needs
+// to abandon a half-done whole-graph sweep when the client's deadline
+// expires. All *Ctx functions return ctx.Err() on cancellation and are
+// otherwise bit-identical to their context-free counterparts (which
+// delegate here with a nil context).
 
 // pollCtx reports the context's error, tolerating a nil context (never
 // cancels). It is called between per-agent scan units.
@@ -37,7 +36,9 @@ func CheckSwapCtx(ctx context.Context, g *graph.Graph, obj Objective, workers in
 	if !g.IsConnected() {
 		return false, nil, ErrDisconnected
 	}
-	found, err := swapScan(ctx, g.Freeze(), obj, normWorkers(workers), deletionCritical)
+	eng, f := pricing.Shared(workers), g.Freeze()
+	found, err := swapScan(ctx, eng, f, func(v int) *pricing.Scan { return eng.NewScan(f, v) },
+		obj, deletionCritical, nil)
 	if err != nil {
 		return false, nil, err
 	}
@@ -53,20 +54,20 @@ func HasBatchedSweep(inst Instance) bool {
 }
 
 // FindImprovementCtx is the shared certification sweep (agents ascending,
-// first improving move in the instance's enumeration order) with ctx
-// polled between agents. The found result is identical to
-// Instance.FindImprovement.
+// first improving move in the instance's enumeration order, twins skipped
+// for the models that allow it) with ctx polled between agents. The found
+// result is identical to Instance.FindImprovement.
 func FindImprovementCtx(ctx context.Context, inst Instance, obj Objective) (m Move, oldCost, newCost int64, ok bool, err error) {
-	n := inst.Graph().N()
-	for v := 0; v < n; v++ {
-		if err := pollCtx(ctx); err != nil {
-			return Move{}, 0, 0, false, err
-		}
-		if m, oldCost, newCost, ok := inst.FirstImproving(v, obj); ok {
-			return m, oldCost, newCost, true, nil
-		}
-	}
-	return Move{}, 0, 0, false, nil
+	viol, err := instanceSweep(ctx, inst, obj)
+	m, oldCost, newCost, ok = viol.asMove()
+	return m, oldCost, newCost, ok, err
+}
+
+// instanceSweep runs the sweep driver over inst's FirstImproving.
+func instanceSweep(ctx context.Context, inst Instance, obj Objective) (*Violation, error) {
+	return sweep(ctx, inst.Graph().N(), twinView(inst), func(v int) *Violation {
+		return improvement(inst.FirstImproving(v, obj))
+	})
 }
 
 // CheckStableCtx certifies the instance's position like
@@ -79,28 +80,17 @@ func FindImprovementCtx(ctx context.Context, inst Instance, obj Objective) (m Mo
 // then the whole pass rather than one agent) and falls back to the
 // per-agent ctx sweep otherwise.
 func CheckStableCtx(ctx context.Context, inst Instance, obj Objective, batched bool) (bool, *Violation, error) {
-	var (
-		m                Move
-		oldCost, newCost int64
-		found            bool
-	)
+	var viol *Violation
 	if b, ok := inst.(BatchedSweeper); batched && ok {
 		if err := pollCtx(ctx); err != nil {
 			return false, nil, err
 		}
-		m, oldCost, newCost, found = b.FindImprovementBatched(obj)
+		viol = improvement(b.FindImprovementBatched(obj))
 	} else {
 		var err error
-		m, oldCost, newCost, found, err = FindImprovementCtx(ctx, inst, obj)
-		if err != nil {
+		if viol, err = instanceSweep(ctx, inst, obj); err != nil {
 			return false, nil, err
 		}
 	}
-	if !found {
-		return true, nil, nil
-	}
-	return false, &Violation{
-		Kind: SwapImproves, Move: m, Agent: m.V,
-		OldCost: oldCost, NewCost: newCost,
-	}, nil
+	return viol == nil, viol, nil
 }

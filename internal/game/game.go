@@ -355,29 +355,18 @@ func ApplyToGraph(g *graph.Graph, m Move) (undo func()) {
 	}
 }
 
-// findImprovement is the shared certification sweep: agents ascending,
-// first improving move in the instance's enumeration order.
+// findImprovement is every instance's FindImprovement: the sweep over
+// its FirstImproving, skipping twins when the instance declares them.
 func findImprovement(inst Instance, obj Objective) (Move, int64, int64, bool) {
-	n := inst.Graph().N()
-	for v := 0; v < n; v++ {
-		if m, oldCost, newCost, ok := inst.FirstImproving(v, obj); ok {
-			return m, oldCost, newCost, true
-		}
-	}
-	return Move{}, 0, 0, false
+	viol, _ := instanceSweep(nil, inst, obj)
+	return viol.asMove()
 }
 
 // sweepStable is the shared equilibrium check for models without extra
 // side conditions: stable iff the certification sweep finds nothing.
 func sweepStable(inst Instance, obj Objective) (bool, *Violation, error) {
-	m, oldCost, newCost, ok := findImprovement(inst, obj)
-	if !ok {
-		return true, nil, nil
-	}
-	return false, &Violation{
-		Kind: SwapImproves, Move: m, Agent: m.V,
-		OldCost: oldCost, NewCost: newCost,
-	}, nil
+	viol, _ := instanceSweep(nil, inst, obj)
+	return viol == nil, viol, nil
 }
 
 // RoundRobin drives round-robin best-response sweeps over n agents: step

@@ -215,11 +215,11 @@ func (s *greedySession) scanMoves(v int, obj Objective, firstOnly bool) (best Mo
 	// Swaps: add-major over fresh endpoints (the target edge must not
 	// exist; deletions were priced above), against the dropped-edge rows.
 	swapOffset := s.edgeCost * deg
-	drops := psc.Drops()
+	drops, dropRows := psc.Drops(), psc.DropRows()
 	swapPricer := func(ws bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
 		view.BFSSkipVertex(add, v, ws.dist, ws.queue)
 		for i := range drops {
-			if c, below := pricing.PatchedBelow(psc.DropRow(i), ws.dist, po, threshold()-swapOffset); below {
+			if c, below := pricing.PatchedBelow(dropRows[i], ws.dist, po, threshold()-swapOffset); below {
 				if !yield(i, swapOffset+c) {
 					return
 				}
@@ -288,6 +288,10 @@ func (s *greedySession) Apply(m Move) (undo func()) {
 func (s *greedySession) FindImprovement(obj Objective) (Move, int64, int64, bool) {
 	return findImprovement(s, obj)
 }
+
+// twinView declares the greedy model's agents interchangeable: the edge
+// cost is the same for every vertex (see sweep).
+func (s *greedySession) twinView() adjacency { return s.ps.View() }
 
 func (s *greedySession) CheckStable(obj Objective) (bool, *Violation, error) {
 	return sweepStable(s, obj)

@@ -199,8 +199,8 @@ func (s *interestsSession) scanMoves(v int, obj Objective, firstOnly bool) (best
 	// scan.
 	cand, found := scanAddMajor(s.eng, view, scan, s.workers,
 		func(add int) bool { return view.HasEdge(v, add) },
-		func(i int, dw []int32, threshold int64) (int64, bool) {
-			return pricing.PatchedSubsetBelow(scan.DropRow(i), dw, set, po, threshold)
+		func(dv, dw []int32, threshold int64) (int64, bool) {
+			return pricing.PatchedSubsetBelow(dv, dw, set, po, threshold)
 		},
 		cur, firstOnly)
 	if !found {

@@ -102,15 +102,16 @@ func (s *SwapSession) scanRowCached(v int, obj Objective, firstOnly bool) (Move,
 	sc := s.ps.NewScan(v)
 	defer sc.Close()
 	cur := sc.CurrentUsage(po)
+	if withinTwo(sc.CurrentRow()) {
+		return Move{}, cur, cur, false
+	}
 	order := scan.ByDropFirst
 	if firstOnly {
 		order = scan.ByEnumeration
 	}
 	cand, found := scanAddMajorBatched(s.eng, view, sc, s.workers, rows,
 		func(add int) bool { return view.HasEdge(v, add) },
-		func(i int, dw []int32, threshold int64) (int64, bool) {
-			return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
-		},
+		patchedBelow(po),
 		cur, firstOnly, order)
 	if !found {
 		return Move{}, cur, cur, false
@@ -196,8 +197,8 @@ func (s *interestsSession) scanRowCached(v int, obj Objective, firstOnly bool) (
 	cur := pricing.UsageSubset(sc.CurrentRow(), set, po)
 	cand, found := scanAddMajorBatched(s.eng, view, sc, s.workers, rows,
 		func(add int) bool { return view.HasEdge(v, add) },
-		func(i int, dw []int32, threshold int64) (int64, bool) {
-			return pricing.PatchedSubsetBelow(sc.DropRow(i), dw, set, po, threshold)
+		func(dv, dw []int32, threshold int64) (int64, bool) {
+			return pricing.PatchedSubsetBelow(dv, dw, set, po, threshold)
 		},
 		cur, firstOnly, scan.ByEnumeration)
 	if !found {
@@ -237,13 +238,14 @@ func (s *budgetSession) scanRowCached(v int, obj Objective, firstOnly bool) (Mov
 	sc := s.ps.NewScan(v)
 	defer sc.Close()
 	cur := sc.CurrentUsage(po)
+	if withinTwo(sc.CurrentRow()) {
+		return Move{}, cur, cur, false
+	}
 	cand, found := scanAddMajorBatched(s.eng, view, sc, s.workers, rows,
 		func(add int) bool {
 			return view.HasEdge(v, add) || view.Degree(add) >= s.k
 		},
-		func(i int, dw []int32, threshold int64) (int64, bool) {
-			return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
-		},
+		patchedBelow(po),
 		cur, firstOnly, scan.ByEnumeration)
 	if !found {
 		return Move{}, cur, cur, false

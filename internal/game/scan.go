@@ -21,16 +21,27 @@ func scratchState(eng *pricing.Engine, n int) func() (bfsRow, func()) {
 	}
 }
 
+// rowPrice is a model's thresholded price of one swap candidate: the
+// deviator's dropped-edge row dv patched with the endpoint's row dw. It
+// must return the exact cost with below=true when the candidate prices
+// strictly below threshold, and may abort early (returning below=false)
+// as soon as the partial reduction proves it cannot.
+type rowPrice func(dv, dw []int32, threshold int64) (cost int64, below bool)
+
+// patchedBelow is the distance-cost rowPrice (pricing.PatchedBelow).
+func patchedBelow(po pricing.Objective) rowPrice {
+	return func(dv, dw []int32, threshold int64) (int64, bool) {
+		return pricing.PatchedBelow(dv, dw, po, threshold)
+	}
+}
+
 // scanAddMajor runs the add-major swap-candidate scan shared by the
 // Interests and Budget models on the unified scan engine: candidate
 // endpoints ascending over all vertices except the deviator (skipAdd
 // filters endpoints before their BFS is paid), and for each endpoint the
 // scan's dropped edges ascending, priced by the model-supplied thresholded
-// reduction over the scan's dropped-edge row and the endpoint's G−v row.
-// price must return the exact cost with below=true when the candidate
-// prices strictly below the given threshold, and may abort early
-// (returning below=false) as soon as the partial reduction proves it
-// cannot — dense interest sets pay only as much of their Θ(|I(v)|)
+// reduction (rowPrice) over the scan's dropped-edge row and the endpoint's
+// G−v row — dense interest sets pay only as much of their Θ(|I(v)|)
 // reduction as each comparison needs. The winner is the minimum
 // (cost, add, dropIdx) strictly below cur — the scan engine's
 // ByEnumeration order, the enumeration-first tie-break of the sequential
@@ -38,14 +49,13 @@ func scratchState(eng *pricing.Engine, n int) func() (bfsRow, func()) {
 // candidate in enumeration order. Results are bit-identical to the
 // workers == 1 scan for any worker count (the engine's merge contract).
 func scanAddMajor(eng *pricing.Engine, view pricing.Snapshot, ps *pricing.Scan,
-	workers int, skipAdd func(add int) bool,
-	price func(dropIdx int, dw []int32, threshold int64) (int64, bool),
+	workers int, skipAdd func(add int) bool, price rowPrice,
 	cur int64, firstOnly bool) (scan.Cand, bool) {
 	v := ps.V()
-	drops := ps.Drops()
-	if len(drops) == 0 {
+	if len(ps.Drops()) == 0 {
 		return scan.Cand{}, false
 	}
+	dropRows := ps.DropRows() // built here, before the scan shards
 	spec := scan.Spec{
 		Workers:   workers,
 		N:         view.N(),
@@ -58,8 +68,8 @@ func scanAddMajor(eng *pricing.Engine, view pricing.Snapshot, ps *pricing.Scan,
 	}
 	pricer := func(ws bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
 		view.BFSSkipVertex(add, v, ws.dist, ws.queue)
-		for i := range drops {
-			if c, below := price(i, ws.dist, threshold()); below {
+		for i, dv := range dropRows {
+			if c, below := price(dv, ws.dist, threshold()); below {
 				if !yield(i, c) {
 					return
 				}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/pricing"
+	"repro/internal/scan"
 )
 
 // Swap is the source paper's basic game: the only move is the single-edge
@@ -74,56 +75,60 @@ func CheckSwap(g *graph.Graph, obj Objective, workers int, deletionCritical bool
 	return CheckSwapCtx(nil, g, obj, workers, deletionCritical)
 }
 
-// swapScan walks agents in ascending order over a shared snapshot — a
-// one-shot Frozen or a session's live CSR — and returns the first
-// violation, nil when every agent is stable. The per-agent candidate scan
-// is sharded across workers *inside* the vertex with the engine's
-// deterministic first-improvement merge, so single-agent workloads on huge
-// n use every worker, the early exit at the first violating vertex wastes
-// no cross-vertex work, and the witness is identical for any worker count.
-// ctx (nil tolerated) is polled between agents; its error is returned on
-// cancellation.
-func swapScan(ctx context.Context, view pricing.Snapshot, obj Objective, workers int, deletionCritical bool) (*Violation, error) {
-	n := view.N()
-	eng := pricing.Shared(workers)
-	po := pobj(obj)
-	for v := 0; v < n; v++ {
-		if err := pollCtx(ctx); err != nil {
-			return nil, err
-		}
-		if viol := swapScanVertex(eng, view, v, obj, po, deletionCritical); viol != nil {
-			return viol, nil
-		}
-	}
-	return nil, nil
+// swapScan certifies the swap model over a shared snapshot — a one-shot
+// Frozen or a session's live CSR, whose scans newScan issues — and
+// returns the first violation, nil when every agent is stable. It is the
+// sweep driver (twins skipped, ctx polled between agents; nil tolerated)
+// over swapScanVertex. The per-agent candidate scan is sharded across the
+// engine's workers *inside* the vertex with the deterministic
+// first-improvement merge, so single-agent workloads on huge n use every
+// worker, the early exit at the first violating vertex wastes no
+// cross-vertex work, and the witness is identical for any worker count.
+// rows, when non-nil, supplies the batched pass's shared full-graph rows
+// (see scanAddMajorBatched).
+func swapScan(ctx context.Context, eng *pricing.Engine, view pricing.Snapshot, newScan func(v int) *pricing.Scan,
+	obj Objective, deletionCritical bool, rows rowLookup) (*Violation, error) {
+	return sweep(ctx, view.N(), view, func(v int) *Violation {
+		sc := newScan(v)
+		defer sc.Close()
+		return swapScanVertex(eng, view, sc, obj, deletionCritical, rows)
+	})
 }
 
-// swapScanVertex scans all moves of agent v, returning the first violation
-// in per-vertex order: deletion-criticality (when requested) before swaps,
-// swaps in the engine's add-major enumeration order. The swap scan skips
-// adds onto current neighbors (the deletion-skip): such candidates realize
-// pure deletions or no-ops, which never price strictly below cur, so the
+// swapScanVertex scans all moves of sc's agent, returning the first
+// violation in per-vertex order: deletion-criticality (when requested)
+// before swaps, swaps in the engine's add-major enumeration order. An
+// agent within distance two of everyone is settled by the locality lemma
+// (withinTwo) once the deletion test has run. The swap scan skips adds
+// onto current neighbors (the deletion-skip): such candidates realize pure
+// deletions or no-ops, which never price strictly below cur, so the
 // witness is unchanged while hub-heavy agents (a star center is adjacent
-// to everyone) drop their whole endpoint-BFS scan.
-func swapScanVertex(eng *pricing.Engine, view pricing.Snapshot, v int, obj Objective, po pricing.Objective, deletionCritical bool) *Violation {
-	sc := eng.NewScan(view, v)
-	defer sc.Close()
+// to everyone) drop their whole endpoint-BFS scan. With rows set, each
+// candidate is first bounded against its endpoint's shared row and only
+// flagged candidates pay their exact BFS; the witness is the same.
+func swapScanVertex(eng *pricing.Engine, view pricing.Snapshot, sc *pricing.Scan, obj Objective, deletionCritical bool, rows rowLookup) *Violation {
+	po := pobj(obj)
+	v := sc.V()
 	cur := sc.CurrentUsage(po)
-
 	if obj == Max && deletionCritical {
 		if viol := deletionViolation(sc, v, cur); viol != nil {
 			return viol
 		}
 	}
-
-	if b, ok := sc.FirstImproving(po, true, cur); ok {
-		return &Violation{
-			Kind:    SwapImproves,
-			Move:    Move{V: v, Drop: b.Drop, Add: b.Add},
-			Agent:   v,
-			OldCost: cur,
-			NewCost: b.Cost,
+	if withinTwo(sc.CurrentRow()) {
+		return nil
+	}
+	if rows != nil {
+		cand, ok := scanAddMajorBatched(eng, view, sc, eng.Workers(), rows,
+			func(add int) bool { return view.HasEdge(v, add) },
+			patchedBelow(po), cur, true, scan.ByEnumeration)
+		if !ok {
+			return nil
 		}
+		return candViolation(sc, cur, cand)
+	}
+	if b, ok := sc.FirstImproving(po, true, cur); ok {
+		return improvement(Move{V: v, Drop: b.Drop, Add: b.Add}, cur, b.Cost, true)
 	}
 	return nil
 }
@@ -269,11 +274,15 @@ func (s *SwapSession) SocialCost(obj Objective) int64 {
 // plus v's current cost (read from the scan for free). The
 // candidate-endpoint scan is sharded across the session's workers and
 // skips adds onto current neighbors (pure deletions never price strictly
-// below cur, so the improving winner is unchanged).
+// below cur, so the improving winner is unchanged); an agent within
+// distance two of everyone scans nothing (the locality lemma, withinTwo).
 func (s *SwapSession) BestMove(v int, obj Objective) (best Move, oldCost, newCost int64, ok bool) {
 	sc := s.ps.NewScan(v)
 	defer sc.Close()
 	cur := sc.CurrentUsage(pobj(obj))
+	if withinTwo(sc.CurrentRow()) {
+		return best, cur, cur, false
+	}
 	if b, found := sc.BestMove(pobj(obj), true); found && b.Cost < cur {
 		return Move{V: v, Drop: b.Drop, Add: b.Add}, cur, b.Cost, true
 	}
@@ -286,11 +295,15 @@ func (s *SwapSession) BestMove(v int, obj Objective) (best Move, oldCost, newCos
 // result equals the sequential early-exit scan for any worker count. Like
 // BestMove it skips adds onto current neighbors; no such candidate can
 // price strictly below cur, so the first improving move is unchanged (the
-// naive oracle keeps enumerating everything, pinning the skip).
+// naive oracle keeps enumerating everything, pinning the skip). The
+// locality lemma settles an agent within distance two of everyone.
 func (s *SwapSession) FirstImproving(v int, obj Objective) (m Move, oldCost, newCost int64, ok bool) {
 	sc := s.ps.NewScan(v)
 	defer sc.Close()
 	cur := sc.CurrentUsage(pobj(obj))
+	if withinTwo(sc.CurrentRow()) {
+		return m, cur, cur, false
+	}
 	if b, found := sc.FirstImproving(pobj(obj), true, cur); found {
 		return Move{V: v, Drop: b.Drop, Add: b.Add}, cur, b.Cost, true
 	}
@@ -329,11 +342,12 @@ func (s *SwapSession) PriceMove(m Move, obj Objective) int64 {
 }
 
 // FindImprovement scans agents in ascending order for the first improving
-// swap — the certification sweep of the random-improving policy. Within
-// each agent the scan is sharded across the session's workers with the
-// deterministic first-improvement merge, so the returned move is the same
-// for any worker count. ok is false exactly when the graph is in swap
-// equilibrium under obj.
+// swap — the certification sweep of the random-improving policy — skipping
+// agents with a lower-labelled twin (see sweep). Within each agent the
+// scan is sharded across the session's workers with the deterministic
+// first-improvement merge, so the returned move is the same for any
+// worker count. ok is false exactly when the graph is in swap equilibrium
+// under obj.
 func (s *SwapSession) FindImprovement(obj Objective) (m Move, oldCost, newCost int64, ok bool) {
 	return findImprovement(s, obj)
 }
@@ -353,9 +367,12 @@ func (s *SwapSession) CheckStable(obj Objective) (bool, *Violation, error) {
 		return false, nil, ErrDisconnected
 	}
 	release()
-	found, _ := swapScan(nil, s.ps.View(), obj, s.workers, false)
+	found, _ := swapScan(nil, s.eng, s.ps.View(), s.ps.NewScan, obj, false, nil)
 	return found == nil, found, nil
 }
+
+// twinView declares the swap model's agents interchangeable (see sweep).
+func (s *SwapSession) twinView() adjacency { return s.ps.View() }
 
 // Sample draws the swap model's random probe from the live snapshot.
 func (s *SwapSession) Sample(rng *rand.Rand) (Move, bool) {
@@ -494,6 +511,12 @@ func (s *swapNaive) FindImprovement(obj Objective) (Move, int64, int64, bool) {
 	return findImprovement(s, obj)
 }
 
+// CheckStable is the oracle sweep over the naive FirstImproving, behind
+// CheckSwap's connectivity gate: no pruning rule, so it stays the unpruned
+// reference for the fast checkers.
 func (s *swapNaive) CheckStable(obj Objective) (bool, *Violation, error) {
-	return CheckSwap(s.g, obj, s.workers, false)
+	if s.g.N() > 1 && !s.g.IsConnected() {
+		return false, nil, ErrDisconnected
+	}
+	return sweepStable(s, obj)
 }

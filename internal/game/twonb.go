@@ -193,6 +193,12 @@ func (s *twoNBSession) scanMoves(v int, firstOnly bool) (Move, int64, int64, boo
 	n := view.N()
 	nbs := s.loadBase(v, view)
 	cur := int64(n - 1 - s.covered)
+	if cur == 0 {
+		// The locality lemma (withinTwo) read off the counter: every vertex
+		// is already within distance two, and no cost falls below 0.
+		s.unloadBase(v, nbs, view)
+		return Move{}, cur, cur, false
+	}
 	spec := scan.Spec{
 		Workers:   1,
 		N:         n,
@@ -287,6 +293,10 @@ func (s *twoNBSession) Apply(m Move) (undo func()) {
 func (s *twoNBSession) FindImprovement(obj Objective) (Move, int64, int64, bool) {
 	return findImprovement(s, obj)
 }
+
+// twinView declares the 2-neighborhood model's agents interchangeable
+// (see sweep).
+func (s *twoNBSession) twinView() adjacency { return s.ps.View() }
 
 func (s *twoNBSession) CheckStable(obj Objective) (bool, *Violation, error) {
 	return sweepStable(s, obj)

@@ -17,13 +17,13 @@
 // detour through v never helps, because 1 + d(w',v) + d(v,x) > d_{G−vw}(v,x).
 //
 // A Scan therefore prepares deg(v)+1 rows once per deviator (the deviator's
-// row in G and in each G−vw), and then prices all candidates for one
-// endpoint w' from a single BFS row of G−v, shared across every dropped
-// edge. Per-worker scratch (distance rows and queues) lives in pooled
-// buffers, and the best-move and first-improvement searches run on the
-// unified scan engine (internal/scan) with the ByDropFirst tie-break —
-// (cost, drop, add) — so the outcome is deterministic for any worker
-// count.
+// row in G up front, its row in each G−vw on first use), and then prices
+// all candidates for one endpoint w' from a single BFS row of G−v, shared
+// across every dropped edge. Per-worker scratch (distance rows and queues)
+// lives in pooled buffers, and the best-move and first-improvement
+// searches run on the unified scan engine (internal/scan) with the
+// ByDropFirst tie-break — (cost, drop, add) — so the outcome is
+// deterministic for any worker count.
 //
 // The package depends only on internal/graph, internal/par, and
 // internal/scan so that both the basic-game checkers (internal/core) and
@@ -32,6 +32,7 @@ package pricing
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -142,20 +143,26 @@ func (e *Engine) Scratch(n int) (dist, queue []int32, release func()) {
 
 // Scan holds the per-deviator pricing state: the deviator's BFS row in G and
 // in each edge-deleted graph G−vw for the scanned dropped edges. Building a
-// Scan costs len(drops)+1 BFS passes; pricing a candidate endpoint then
-// costs one BFS pass shared across all dropped edges. A Scan prices against
-// the snapshot it was built from; re-freeze (or re-issue Session.NewScan)
-// and re-scan after mutating the underlying graph — scans issued by a
-// Session detect mutation and panic rather than price stale rows. Close
-// detaches the Scan from its snapshot (its row buffers are plain
-// allocations, reclaimed by the GC); using a Scan after Close is invalid.
+// Scan costs one BFS pass (the deviator's own row); the len(drops)
+// dropped-edge rows are built on first use, so a caller that settles the
+// deviator from its own row alone (the game layer's locality lemma, a
+// greedy add found first) never pays them. Pricing a candidate endpoint
+// then costs one BFS pass shared across all dropped edges. A Scan prices
+// against the snapshot it was built from; re-freeze (or re-issue
+// Session.NewScan) and re-scan after mutating the underlying graph — scans
+// issued by a Session detect mutation and panic rather than price stale
+// rows. Close detaches the Scan from its snapshot (its row buffers are
+// plain allocations, reclaimed by the GC); using a Scan after Close is
+// invalid.
 type Scan struct {
 	e        *Engine
 	f        Snapshot
 	v        int
 	drops    []int32     // dropped-edge endpoints, ascending
 	cur      []int32     // d_G(v,·)
-	dropRows [][]int32   // dropRows[i] = d_{G−v·drops[i]}(v,·)
+	dropRows [][]int32   // dropRows[i] = d_{G−v·drops[i]}(v,·), once built
+	built    atomic.Bool // dropRows is complete
+	buildMu  sync.Mutex  // serializes the first build
 	sess     *Session    // issuing session, nil for one-shot scans
 	gen      uint64      // session generation at build time
 	cancel   func() bool // cooperative cancel hook, see Session.SetCancel
@@ -176,29 +183,54 @@ const scanParThreshold = 16
 
 // NewScanDrops prepares pricing state for deviator v restricted to the given
 // dropped-edge endpoints (e.g. the owned edges in the α-game). drops must be
-// neighbors of v, in ascending order; the slice is not retained. The
-// dropped-edge rows are independent BFS passes and are sharded across the
-// engine's workers for high-degree deviators.
+// neighbors of v, in ascending order; the slice is not retained. Only the
+// deviator's own row is computed here; the dropped-edge rows wait for
+// DropRows (see there).
 func (e *Engine) NewScanDrops(f Snapshot, v int, drops []int32) *Scan {
 	n := f.N()
 	s := &Scan{
-		e:        e,
-		f:        f,
-		v:        v,
-		drops:    append([]int32(nil), drops...),
-		cur:      make([]int32, n),
-		dropRows: make([][]int32, len(drops)),
+		e:     e,
+		f:     f,
+		v:     v,
+		drops: append([]int32(nil), drops...),
+		cur:   make([]int32, n),
 	}
 	sc := e.getScratch(n)
 	f.BFSInto(v, s.cur, sc.queue)
 	e.putScratch(sc)
+	return s
+}
+
+// DropRows returns every dropped-edge row, dropRows[i] =
+// d_{G−v·drops[i]}(v,·), building them on first use. The rows are
+// independent BFS passes, sharded across the engine's workers for
+// high-degree deviators, so call DropRows (or any pricing method) before
+// handing the Scan to sharded workers: later calls are one atomic load
+// and safe from any goroutine. The slice and its rows are owned by the
+// Scan; do not modify.
+func (s *Scan) DropRows() [][]int32 {
+	if !s.built.Load() {
+		s.buildDropRows()
+	}
+	return s.dropRows
+}
+
+func (s *Scan) buildDropRows() {
+	s.buildMu.Lock()
+	defer s.buildMu.Unlock()
+	if s.built.Load() {
+		return
+	}
+	s.checkFresh()
+	e, f, v, n := s.e, s.f, s.v, s.f.N()
+	rows := make([][]int32, len(s.drops))
 	fill := func(lo, hi int) {
 		sc := e.getScratch(n)
 		defer e.putScratch(sc)
 		for i := lo; i < hi; i++ {
 			row := make([]int32, n)
 			f.BFSSkipEdge(v, v, int(s.drops[i]), row, sc.queue)
-			s.dropRows[i] = row
+			rows[i] = row
 		}
 	}
 	if e.workers > 1 && len(s.drops) >= scanParThreshold {
@@ -206,7 +238,8 @@ func (e *Engine) NewScanDrops(f Snapshot, v int, drops []int32) *Scan {
 	} else {
 		fill(0, len(s.drops))
 	}
-	return s
+	s.dropRows = rows
+	s.built.Store(true)
 }
 
 // Close detaches the Scan from its snapshot, invalidating further use.
@@ -234,13 +267,10 @@ func (s *Scan) CurrentRow() []int32 { return s.cur }
 // CurrentUsage returns the deviator's usage cost in G.
 func (s *Scan) CurrentUsage(obj Objective) int64 { return Usage(s.cur, obj) }
 
-// DropRow returns d_{G−v·drops[i]}(v,·) (owned by the Scan; do not modify).
-func (s *Scan) DropRow(i int) []int32 { return s.dropRows[i] }
-
 // DeletionUsage returns the deviator's usage cost in G−v·drops[i], i.e. the
 // price of a pure deletion of the i-th dropped edge.
 func (s *Scan) DeletionUsage(i int, obj Objective) int64 {
-	return Usage(s.dropRows[i], obj)
+	return Usage(s.DropRows()[i], obj)
 }
 
 // ForEach prices every candidate swap (drop = drops[i], add) sequentially
@@ -256,6 +286,7 @@ func (s *Scan) ForEach(obj Objective, skipAdjacent bool, fn func(dropIdx, add in
 	if len(s.drops) == 0 {
 		return
 	}
+	rows := s.DropRows()
 	n := s.f.N()
 	sc := s.e.getScratch(n)
 	defer s.e.putScratch(sc)
@@ -265,7 +296,7 @@ func (s *Scan) ForEach(obj Objective, skipAdjacent bool, fn func(dropIdx, add in
 		}
 		s.f.BFSSkipVertex(add, s.v, sc.dist, sc.queue)
 		for i := range s.drops {
-			if !fn(i, add, Patched(s.dropRows[i], sc.dist, obj)) {
+			if !fn(i, add, Patched(rows[i], sc.dist, obj)) {
 				return
 			}
 		}
@@ -312,12 +343,14 @@ func (s *Scan) state() (*scratch, func()) {
 
 // pricer builds the endpoint's G−v row once and yields every dropped edge
 // pricing strictly below the admission threshold; the thresholded reduction
-// aborts a Θ(n) sum as soon as it proves the candidate cannot qualify.
+// aborts a Θ(n) sum as soon as it proves the candidate cannot qualify. The
+// dropped-edge rows are built here, before the scan engine shards.
 func (s *Scan) pricer(obj Objective) scan.Pricer[*scratch] {
+	rows := s.DropRows()
 	return func(sc *scratch, add int, threshold func() int64, yield func(int, int64) bool) {
 		s.f.BFSSkipVertex(add, s.v, sc.dist, sc.queue)
 		for i := range s.drops {
-			if cost, below := PatchedBelow(s.dropRows[i], sc.dist, obj, threshold()); below {
+			if cost, below := PatchedBelow(rows[i], sc.dist, obj, threshold()); below {
 				if !yield(i, cost) {
 					return
 				}

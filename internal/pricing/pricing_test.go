@@ -257,3 +257,48 @@ func TestScanWithoutDrops(t *testing.T) {
 		t.Error("isolated vertex enumerated candidates")
 	}
 }
+
+// TestDropRowsLazyConcurrentFirstUse pins the lazy dropped-edge rows: a
+// fresh Scan builds them exactly once even when its first readers race
+// (run under -race), and every reader sees the rows of G−v·drop. The hub
+// of a star has enough drops to shard the build across the workers.
+func TestDropRowsLazyConcurrentFirstUse(t *testing.T) {
+	g := constructions.Star(40)
+	g.AddEdge(1, 2)
+	f := g.Freeze()
+	for v := 0; v < 3; v++ {
+		sc := pricing.New(4).NewScan(f, v)
+		const readers = 8
+		got := make([][][]int32, readers)
+		done := make(chan int)
+		for r := 0; r < readers; r++ {
+			go func(r int) {
+				got[r] = sc.DropRows()
+				done <- r
+			}(r)
+		}
+		for r := 0; r < readers; r++ {
+			<-done
+		}
+		drops := sc.Drops()
+		for r := 1; r < readers; r++ {
+			if &got[r][0] != &got[0][0] {
+				t.Fatalf("v=%d: reader %d got a second build of the rows", v, r)
+			}
+		}
+		for i, w := range drops {
+			h := g.Clone()
+			h.RemoveEdge(v, int(w))
+			want := h.BFS(v)
+			for x, d := range got[0][i] {
+				if d != want[x] {
+					t.Fatalf("v=%d drop=%d: row[%d] = %d, want %d", v, w, x, d, want[x])
+				}
+			}
+			if u, wu := sc.DeletionUsage(i, pricing.Sum), pricing.Usage(want, pricing.Sum); u != wu {
+				t.Fatalf("v=%d drop=%d: DeletionUsage %d, want %d", v, w, u, wu)
+			}
+		}
+		sc.Close()
+	}
+}

@@ -89,15 +89,17 @@ func TestCertCollidingGraphsBothStayWarm(t *testing.T) {
 	}
 }
 
-// TestBestResponseTimeoutMidScan pins satellite bugfix #1: a deadline
-// expiring during the per-agent best-response scan must return 504, cut
-// short by the cancel poll between pricing units — not after the scan runs
-// its thousands of candidate swaps to completion.
+// TestBestResponseTimeoutMidScan pins mid-scan cancellation of
+// /v1/bestresponse: a deadline expiring during the per-agent best-response
+// scan must return 504, cut short by the cancel poll between pricing
+// units — not after the scan runs its thousands of candidate swaps to
+// completion. Agent 1 of the 4096-cycle has eccentricity 2048, so the
+// locality lemma cannot settle it without the scan.
 func TestBestResponseTimeoutMidScan(t *testing.T) {
 	_, client := newTestServer(t, Config{MaxN: 4096})
 	req := BestResponseRequest{
-		Graph:     mustDTO(t, constructions.Star(4096)),
-		Agent:     1, // a leaf: ~4094 candidate swaps, each a priced unit
+		Graph:     mustDTO(t, constructions.Cycle(4096)),
+		Agent:     1, // ~4093 candidate endpoints × 2 drops, each a priced unit
 		Objective: "sum",
 		TimeoutMS: 1,
 	}
@@ -456,6 +458,48 @@ func TestStoreToleratesCorruptLines(t *testing.T) {
 	}
 	if !got.Stored {
 		t.Errorf("intact line did not serve after corrupt-line replay")
+	}
+}
+
+// TestStoreAppendAfterTornTail: a journal whose last line was torn mid-write
+// (no trailing newline) must not swallow the next append. The fresh
+// verdict starts on its own line, so after a restart the repeated check
+// is answered from the store.
+func TestStoreAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "verdicts.jsonl")
+	if err := os.WriteFile(path, []byte(`{"id":"sv-torn","kind":"verdi`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{StorePath: path}
+	req := CheckRequest{Graph: mustDTO(t, constructions.Star(7)), Objective: "sum"}
+
+	srv1, err := NewServer(cfg)
+	if err != nil {
+		t.Fatalf("boot over torn journal: %v", err)
+	}
+	first, err := srv1.Check(context.Background(), req)
+	if err != nil {
+		t.Fatalf("certify: %v", err)
+	}
+	if first.Stored {
+		t.Fatal("first check answered from the store; the journal held no verdict")
+	}
+	srv1.Close()
+
+	srv2, err := NewServer(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer srv2.Close()
+	got, err := srv2.Check(context.Background(), req)
+	if err != nil {
+		t.Fatalf("warm check: %v", err)
+	}
+	if !got.Stored {
+		t.Error("verdict appended after a torn tail was lost at replay")
+	}
+	if !reflect.DeepEqual(got.VerdictDTO, first.VerdictDTO) {
+		t.Errorf("stored verdict %+v, certified %+v", got.VerdictDTO, first.VerdictDTO)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/constructions"
 	"repro/internal/core"
+	"repro/internal/game"
 	"repro/internal/graph"
 )
 
@@ -133,14 +134,18 @@ func quote(s string) string {
 }
 
 // TestTimeoutCancelsMidScan submits a check big enough that a 1ms deadline
-// expires between per-agent scan units, and expects 504. The graph is a
-// star — sum-stable, so the scan cannot exit early on a violation and must
+// expires between per-agent scan units, and expects 504. The graph is the
+// k = 16 diagonal torus (n = 512) under max — a max equilibrium, so the
+// scan cannot exit early on a violation, and twin-free with every
+// eccentricity 16, so neither exact pruning rule can shortcut it: it must
 // be cut short by the deadline poll.
 func TestTimeoutCancelsMidScan(t *testing.T) {
 	_, client := newTestServer(t, Config{MaxN: 1024})
+	g := constructions.NewTorus(16).Graph()
+	requireUnprunable(t, g)
 	req := CheckRequest{
-		Graph:     mustDTO(t, constructions.Star(512)),
-		Objective: "sum",
+		Graph:     mustDTO(t, g),
+		Objective: "max",
 		TimeoutMS: 1,
 	}
 	start := time.Now()
@@ -165,12 +170,17 @@ func TestTimeoutCancelsMidScan(t *testing.T) {
 // BFS rows, so a 1ms deadline expires while that arena is still being
 // filled. batchRows polls the context once per row (each row is one
 // bounded BFS), so the 504 must come back within one BFS of the deadline
-// — not after the remaining hundreds of rows.
+// — not after the remaining hundreds of rows. The k = 22 torus (n = 968)
+// under max is stable, twin-free and has every eccentricity 22, so even
+// a deadline timer that fires late still lands in a sweep that pruning
+// cannot shortcut.
 func TestTimeoutCancelsMidRowBatch(t *testing.T) {
 	_, client := newTestServer(t, Config{MaxN: 1024})
+	g := constructions.NewTorus(22).Graph()
+	requireUnprunable(t, g)
 	req := CheckRequest{
-		Graph:     mustDTO(t, constructions.Star(1024)),
-		Objective: "sum",
+		Graph:     mustDTO(t, g),
+		Objective: "max",
 		Batched:   true,
 		TimeoutMS: 1,
 	}
@@ -179,15 +189,32 @@ func TestTimeoutCancelsMidRowBatch(t *testing.T) {
 	elapsed := time.Since(start)
 	var ae *apiError
 	if err == nil {
-		t.Fatalf("batched check of n=1024 with 1ms deadline succeeded in %v; expected 504", elapsed)
+		t.Fatalf("batched check of n=968 with 1ms deadline succeeded in %v; expected 504", elapsed)
 	}
 	if !asAPIError(err, &ae) || ae.Status != http.StatusGatewayTimeout {
 		t.Fatalf("got %v, want 504", err)
 	}
-	// 1024 shared rows ≫ 1ms; the per-row poll must abort construction
+	// 968 shared rows ≫ 1ms; the per-row poll must abort construction
 	// within one BFS plus chunk drain.
 	if elapsed > 10*time.Second {
 		t.Errorf("cancellation took %v; deadline is not being polled during row construction", elapsed)
+	}
+}
+
+// requireUnprunable fails unless every agent of g must be scanned in full
+// by a certification sweep: no eccentricity is at most 2 (the locality
+// lemma) and no two vertices are twins, N(u)∖{v} = N(v)∖{u}. Timeout
+// fixtures use it so that they stay slow.
+func requireUnprunable(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	n := g.N()
+	for v := 0; v < n; v++ {
+		if ecc, ok := g.Eccentricity(v); ok && ecc <= 2 {
+			t.Fatalf("fixture vertex %d has eccentricity %d: the locality lemma settles it", v, ecc)
+		}
+	}
+	if twins := game.LowerTwins(g.Freeze()); twins != nil {
+		t.Fatalf("fixture has twins: the sweep skips every vertex marked in %v", twins)
 	}
 }
 

@@ -81,6 +81,7 @@ type verdictStore struct {
 	seed       *os.File // the read-only seed corpus, nil without one
 	index      map[verdictKey]storeLoc
 	size       int64 // journal bytes written, drives compaction
+	torn       bool  // the replayed journal ends mid-line; see append
 	appends    uint64
 	fsyncEvery int   // 1 = every append, N = every N appends, 0 = never
 	maxBytes   int64 // compact when the journal exceeds this (0 = never)
@@ -135,6 +136,12 @@ func openVerdictStore(cfg Config) (*verdictStore, error) {
 	if err == nil {
 		s.f = f
 		s.size, err = s.load(f, false)
+	}
+	if err == nil && s.size > 0 {
+		last := make([]byte, 1)
+		if _, err = f.ReadAt(last, s.size-1); err == nil {
+			s.torn = last[0] != '\n'
+		}
 	}
 	if err != nil {
 		s.close()
@@ -210,7 +217,10 @@ func (s *verdictStore) readLocked(loc storeLoc) ([]byte, error) {
 
 // append journals a freshly certified verdict and indexes it. The write
 // is fsynced per the configured policy; exceeding the size bound triggers
-// a compaction that rewrites one line per indexed verdict.
+// a compaction that rewrites one line per indexed verdict. When the
+// replayed journal ended mid-line (a crash during a write), the first
+// append starts with a newline, so the torn fragment stays its own
+// unparseable line instead of swallowing this verdict at the next replay.
 func (s *verdictStore) append(key verdictKey, exact string, req CheckRequest, v VerdictDTO) error {
 	if s == nil {
 		return nil
@@ -236,6 +246,14 @@ func (s *verdictStore) append(key verdictKey, exact string, req CheckRequest, v 
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.torn {
+		n, err := s.f.Write([]byte{'\n'})
+		s.size += int64(n)
+		if err != nil {
+			return err
+		}
+		s.torn = false
+	}
 	off := s.size
 	n, err := s.f.Write(b)
 	s.size += int64(n)
