@@ -22,13 +22,16 @@ race:
 
 # Three iterations per benchmark (1x single samples proved too noisy to
 # gate on — micro benches swing ±80% run to run on a busy host), teed
-# through cmd/benchjson into a checked-in JSON artifact (benchmark →
-# ns/op, allocs, GOMAXPROCS, host fingerprint) so numbers are comparable
-# across PRs. benchjson fails on FAIL lines or an empty stream. The CI
-# benchmark smoke keeps 1x: it proves the pipeline, not the numbers.
-BENCH_JSON ?= BENCH_9.json
+# through cmd/benchjson into a JSON artifact (benchmark → ns/op, allocs,
+# GOMAXPROCS, host fingerprint) so numbers are comparable across PRs.
+# benchjson fails on FAIL lines or an empty stream. The CI benchmark smoke
+# keeps 1x: it proves the pipeline, not the numbers. The artifact is named
+# after the change it records — `make bench PR=<n>` writes BENCH_<n>.json
+# — and an existing artifact is never overwritten.
 bench:
-	$(GO) test -run=NONE -bench=. -benchtime=3x -benchmem ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
+	@if [ -z "$(PR)" ]; then echo "usage: make bench PR=<n> (writes BENCH_<n>.json)" >&2; exit 2; fi
+	@if [ -e "BENCH_$(PR).json" ]; then echo "BENCH_$(PR).json exists; refusing to overwrite it" >&2; exit 1; fi
+	$(GO) test -run=NONE -bench=. -benchtime=3x -benchmem ./... | $(GO) run ./cmd/benchjson -o BENCH_$(PR).json
 
 # Bench gate: diff the two most recent checked-in artifacts. Same-host
 # artifacts are compared at a 15% regression threshold (deterministic

@@ -7,6 +7,7 @@ package bncg
 // checking, best-response vs random-improving dynamics).
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -197,6 +198,110 @@ func BenchmarkCheckSumSpiderHubFirst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if ok, _, err := core.CheckSum(g, 1); ok || err != nil {
 			b.Fatal("spider must be sum-unstable")
+		}
+	}
+}
+
+// Exact candidate filters. The spider with 1,023 legs of length 2 under
+// a seeded relabeling with a leaf at label 0 (the hub lands at label
+// 1,183): the leaf is the first agent the sweep scans and its swap onto
+// the hub is the witness. Unfiltered, the max scans pay one BFS for each
+// endpoint before the hub, and the batched check built all 2,047 shared
+// rows before its first scan; with far-set landmarks and first-touch rows
+// each check pays about a dozen BFS.
+
+// spiderLeafFirst is Spider(1023, 2) relabeled by a seeded permutation
+// with a leaf moved to label 0.
+func spiderLeafFirst() *graph.Graph {
+	src := constructions.Spider(1023, 2)
+	n := src.N()
+	perm := rand.New(rand.NewSource(28)).Perm(n)
+	for v, p := range perm {
+		if p == 0 {
+			perm[v], perm[2] = perm[2], 0 // vertex 2 is a leaf
+			break
+		}
+	}
+	g := graph.New(n)
+	for _, e := range src.Edges() {
+		g.AddEdge(perm[e.U], perm[e.V])
+	}
+	return g
+}
+
+func benchCheckSpiderLeafFirst(b *testing.B, obj core.Objective, batched bool) {
+	g := spiderLeafFirst()
+	spec := core.CheckSpec{Objective: obj, Batched: batched, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v, err := core.Check(g, spec); err != nil || v.Stable || v.Violation.Agent != 0 {
+			b.Fatal("the leaf at label 0 must be the witness")
+		}
+	}
+}
+
+func BenchmarkCheckMaxSpiderLeafFirst(b *testing.B) { benchCheckSpiderLeafFirst(b, core.Max, false) }
+func BenchmarkCheckMaxSpiderLeafFirstBatched(b *testing.B) {
+	benchCheckSpiderLeafFirst(b, core.Max, true)
+}
+func BenchmarkCheckSumSpiderLeafFirstBatched(b *testing.B) {
+	benchCheckSpiderLeafFirst(b, core.Sum, true)
+}
+
+// BenchmarkGreedyMaxSpiderLeafFirst certifies the same spider in the
+// greedy model under max: the leaf's add stage finds no improving add at
+// these edge costs, so an unfiltered scan pays one BFS per add candidate
+// and then one per swap candidate up to the hub; the far-set filter
+// serves both stages (landmark rows in G for adds, in G−v for swaps).
+func BenchmarkGreedyMaxSpiderLeafFirst(b *testing.B) {
+	g := spiderLeafFirst()
+	for _, c := range []int64{1, 2, 4} {
+		b.Run(fmt.Sprintf("c=%d", c), func(b *testing.B) {
+			spec := core.CheckSpec{Model: game.Greedy{EdgeCost: c}, Objective: core.Max, Workers: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if v, err := core.Check(g, spec); err != nil || v.Stable || v.Violation.Agent != 0 {
+					b.Fatal("the leaf at label 0 must be the witness")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInterestsMaxStableStar192 certifies an interests max
+// equilibrium on the per-agent path: Star(192) plus 6 leaf–leaf chords,
+// every vertex interested in 4 random others. Each leaf's scan pays 4
+// endpoint BFS and then prices every other candidate target-major from 4
+// BFS rooted at its targets, instead of one BFS per candidate.
+func BenchmarkInterestsMaxStableStar192(b *testing.B) {
+	const n = 192
+	rng := rand.New(rand.NewSource(5))
+	g := Star(n)
+	for added := 0; added < 6; {
+		u, v := 1+rng.Intn(n-1), 1+rng.Intn(n-1)
+		if u != v && g.AddEdge(u, v) {
+			added++
+		}
+	}
+	sets := make([][]int32, n)
+	for v := range sets {
+		for _, u := range rng.Perm(n)[:5] {
+			if u != v && len(sets[v]) < 4 {
+				sets[v] = append(sets[v], int32(u))
+			}
+		}
+	}
+	spec := core.CheckSpec{Model: game.NewInterests(sets), Objective: core.Max, Workers: 1}
+	if v, err := core.Check(g, spec); err != nil || !v.Stable {
+		b.Fatalf("fixture must be an interests max equilibrium: %v %v", v.Violation, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v, err := core.Check(g, spec); err != nil || !v.Stable {
+			b.Fatal("equilibrium rejected")
 		}
 	}
 }

@@ -92,6 +92,7 @@ func CheckCtx(ctx context.Context, g *graph.Graph, spec CheckSpec) (Verdict, err
 		return Verdict{Stable: ok, Violation: viol, Batched: spec.Batched}, nil
 	}
 	inst := model.New(g, spec.Workers)
+	defer game.CloseInstance(inst)
 	batched := spec.Batched && game.HasBatchedSweep(inst)
 	ok, viol, err := game.CheckStableCtx(ctx, inst, spec.Objective, batched)
 	if err != nil {

@@ -289,7 +289,7 @@ func RunSpecCtx(ctx context.Context, g *graph.Graph, spec Spec) (*Result, error)
 
 // NaiveRun drives the same policies through the model's oracle instance:
 // every best-move and first-improvement scan re-freezes the graph, random
-// probes are priced by apply-measure-revert on the map graph, and
+// probes are priced by apply-measure-revert on the mutable graph, and
 // certification sweeps re-freeze per vertex. Run must reproduce its
 // trajectories move-for-move for every model, policy, objective, seed, and
 // worker count. Configured by the deprecated flat Options.

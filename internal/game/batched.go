@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/pricing"
-	"repro/internal/scan"
 )
 
 // This file implements the batched cross-agent certification sweep: a
@@ -16,9 +15,9 @@ import (
 //
 // The per-agent sweep pays one BFS of G−v per candidate endpoint per
 // deviator — Θ(n) BFS per agent, Θ(n²) for a full certification. The
-// batched pass instead computes every full-graph row d_G(w,·) once (n BFS,
-// n² int32 of memory — the memory-for-time trade) and observes that
-// d_G(w,x) ≤ d_{G−v}(w,x) pointwise, so the patched cost
+// batched pass instead computes each full-graph row d_G(w,·) at most once
+// (up to n BFS, n² int32 of memory — the memory-for-time trade) and
+// observes that d_G(w,x) ≤ d_{G−v}(w,x) pointwise, so the patched cost
 //
 //	Σ_x (or max_x) min(d_{G−vw}(v,x), 1 + d_G(w',x))
 //
@@ -37,37 +36,30 @@ import (
 // session's pricing.RowCache, which invalidates only the rows an applied
 // move can change, so consecutive sweeps of a trajectory (the random-
 // improving certification loop) pay #invalidated BFS instead of n per
-// sweep. One-shot checks (CheckSwapBatchedCtx) keep per-call fresh rows.
+// sweep. One-shot checks (CheckSwapBatchedCtx) build each row on first
+// touch (firstTouchRows), so a check that exits early, or whose far-set
+// filter (filter.go) rejects most endpoints, pays only the rows its
+// candidates read.
 
 // rowLookup resolves a candidate endpoint to its full-graph BFS row
-// d_G(w,·) — a slice of a fresh per-call arena (batchRows) or of the
-// session's generation-checked RowCache view.
-type rowLookup func(w int) []int32
+// d_G(w,·) — a slice of a fresh per-call arena (batchRows), of a one-shot
+// check's first-touch table, or of the session's generation-checked
+// RowCache view. built reports whether this lookup paid the row's BFS.
+type rowLookup func(w int) (row []int32, built bool)
 
 // batchRows computes the full-graph BFS row d_G(w,·) for every vertex into
 // one n² arena, sharded across workers. need filters endpoints whose row
 // no deviator will ever read (nil computes all): the budget model skips
 // every over-budget endpoint deviator-independently, so their rows stay
-// nil. ctx (nil tolerated) is polled between rows — each row is one
-// bounded BFS, so a deadline expiring mid-construction aborts within one
-// BFS plus chunk drain instead of overshooting by up to n BFS — and its
-// error is returned with nil rows.
-func batchRows(ctx context.Context, eng *pricing.Engine, view pricing.Snapshot, workers int, need func(w int) bool) ([][]int32, error) {
+// nil.
+func batchRows(eng *pricing.Engine, view pricing.Snapshot, workers int, need func(w int) bool) [][]int32 {
 	n := view.N()
 	rows := make([][]int32, n)
 	arena := make([]int32, n*n)
-	var stop atomic.Bool
 	par.ForChunked(workers, n, func(lo, hi int) {
 		_, queue, release := eng.Scratch(n)
 		defer release()
 		for w := lo; w < hi; w++ {
-			if stop.Load() {
-				return
-			}
-			if ctx != nil && ctx.Err() != nil {
-				stop.Store(true)
-				return
-			}
 			if need != nil && !need(w) {
 				continue
 			}
@@ -76,69 +68,40 @@ func batchRows(ctx context.Context, eng *pricing.Engine, view pricing.Snapshot, 
 			rows[w] = row
 		}
 	})
-	if stop.Load() {
-		return nil, ctx.Err()
-	}
-	return rows, nil
+	return rows
 }
 
-// scanAddMajorBatched is scanAddMajor with the shared-row filter in
-// front: each candidate is first priced against the endpoint's full-graph
-// row (a lower bound on its exact cost — deleting the deviator can only
-// lengthen the endpoint's distances), and only candidates whose bound
-// passes the admission threshold pay the exact d_{G−v}(add,·) BFS,
-// computed at most once per endpoint and shared across its dropped edges.
-// price must be monotone in its row argument (all the Patched*Below
-// reducers are), which makes the filter sound; exactness of the returned
-// candidate is untouched, so the result is bit-identical to
-// scanAddMajor's for any worker count. firstOnly selects the
-// first-improving engine mode (the certification sweeps); otherwise the
-// minimum under order — ByEnumeration for the add-major models,
-// ByDropFirst for the swap model's best-move tie-break — strictly below
-// cur is returned, matching the unfiltered per-agent scan observably
-// (an admitted winner is identical; no candidate below cur is identical
-// to a best move that fails the strict-improvement check).
-func scanAddMajorBatched(eng *pricing.Engine, view pricing.Snapshot, ps *pricing.Scan,
-	workers int, rows rowLookup, skipAdd func(add int) bool, price rowPrice,
-	cur int64, firstOnly bool, order scan.Order) (scan.Cand, bool) {
-	v := ps.V()
-	if len(ps.Drops()) == 0 {
-		return scan.Cand{}, false
+// firstTouchRows is a one-shot check's shared-row table: row d_G(w,·) is
+// built, in its own allocation, the first time a candidate reads it, and
+// published with one atomic store, so sharded workers may race on the
+// same row — each racer computes identical contents and every reader gets
+// a complete row. Rows no candidate reads are never built, which is what
+// keeps a check that exits early, or whose far-set filter rejects most
+// endpoints, from paying n BFS and an n² block up front.
+type firstTouchRows struct {
+	eng  *pricing.Engine
+	view pricing.Snapshot
+	rows []atomic.Pointer[[]int32]
+}
+
+func newFirstTouchRows(eng *pricing.Engine, view pricing.Snapshot) *firstTouchRows {
+	return &firstTouchRows{eng: eng, view: view, rows: make([]atomic.Pointer[[]int32], view.N())}
+}
+
+// row is the table's rowLookup.
+func (t *firstTouchRows) row(w int) ([]int32, bool) {
+	if p := t.rows[w].Load(); p != nil {
+		return *p, false
 	}
-	dropRows := ps.DropRows() // built here, before the scan shards
-	spec := scan.Spec{
-		Workers:   workers,
-		N:         view.N(),
-		Threshold: cur,
-		Order:     order,
-		Skip: func(add int) bool {
-			return add == v || (skipAdd != nil && skipAdd(add))
-		},
-		Cancel: ps.CancelHook(),
+	n := t.view.N()
+	row := make([]int32, n)
+	_, queue, release := t.eng.Scratch(n)
+	t.view.BFSInto(w, row, queue)
+	release()
+	if !t.rows[w].CompareAndSwap(nil, &row) {
+		return *t.rows[w].Load(), true
 	}
-	pricer := func(ws bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
-		shared := rows(add)
-		exact := false
-		for i, dv := range dropRows {
-			if _, maybe := price(dv, shared, threshold()); !maybe {
-				continue
-			}
-			if !exact {
-				view.BFSSkipVertex(add, v, ws.dist, ws.queue)
-				exact = true
-			}
-			if c, below := price(dv, ws.dist, threshold()); below {
-				if !yield(i, c) {
-					return
-				}
-			}
-		}
-	}
-	state := scratchState(eng, view.N())
-	if firstOnly {
-		return scan.First(spec, state, pricer)
-	}
-	return scan.Best(spec, state, pricer)
+	return row, true
 }
 
 // BatchedSweeper is the optional Instance capability for batched
@@ -170,43 +133,24 @@ func FindImprovementBatched(inst Instance, obj Objective) (Move, int64, int64, b
 // reuse-ablation benchmarks and differential tests).
 func sweepRows(eng *pricing.Engine, ps *pricing.Session, workers int, reuse bool, needRow func(add int) bool) rowLookup {
 	if reuse {
-		return ps.RowCache().Sync(workers, needRow).Row
+		view := ps.RowCache().Sync(workers, needRow)
+		return func(w int) ([]int32, bool) { return view.Row(w), false }
 	}
-	rows, _ := batchRows(nil, eng, ps.View(), workers, needRow)
-	return func(w int) []int32 { return rows[w] }
+	rows := batchRows(eng, ps.View(), workers, needRow)
+	return func(w int) ([]int32, bool) { return rows[w], false }
 }
 
-// batchedFindImprovement is the batched certification sweep the
-// interests and budget sessions share: shared rows once (restricted to
+// batchedSweep is the batched certification sweep of the greedy,
+// interests and budget sessions: the shared rows once (restricted to
 // endpoints some deviator can use), then the sweep driver over agents,
-// each agent's filtered first-improving scan configured by the model
-// through vertex — which returns the agent's current cost, its endpoint
-// filter, and its thresholded price reduction over the scan's
-// dropped-edge rows. prune applies both exact pruning rules (twins in the
-// sweep, the locality lemma per agent): budget sets it, interests cannot.
-func batchedFindImprovement(eng *pricing.Engine, ps *pricing.Session, workers int,
-	reuse, prune bool, needRow func(add int) bool,
-	vertex func(v int, sc *pricing.Scan) (cur int64, skipAdd func(add int) bool, price rowPrice),
-) (Move, int64, int64, bool) {
-	view := ps.View()
+// each agent's first-improving scan (the model's FirstImproving with the
+// shared-row filter in front) run by agent. twins is the session's view
+// for the models whose agents are interchangeable, nil for interests.
+func batchedSweep(eng *pricing.Engine, ps *pricing.Session, workers int, reuse bool, needRow func(add int) bool,
+	twins adjacency, agent func(v int, rows rowLookup) (Move, int64, int64, bool)) (Move, int64, int64, bool) {
 	rows := sweepRows(eng, ps, workers, reuse, needRow)
-	var twins adjacency
-	if prune {
-		twins = view
-	}
 	viol, _ := sweep(nil, ps.N(), twins, func(v int) *Violation {
-		sc := ps.NewScan(v)
-		defer sc.Close()
-		cur, skipAdd, price := vertex(v, sc)
-		if prune && withinTwo(sc.CurrentRow()) {
-			return nil
-		}
-		cand, ok := scanAddMajorBatched(eng, view, sc, workers, rows, skipAdd, price, cur,
-			true, scan.ByEnumeration)
-		if !ok {
-			return nil
-		}
-		return candViolation(sc, cur, cand)
+		return improvement(agent(v, rows))
 	})
 	return viol.asMove()
 }
@@ -233,17 +177,8 @@ func (s *interestsSession) FindImprovementBatched(obj Objective) (Move, int64, i
 }
 
 func (s *interestsSession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
-	view := s.ps.View()
-	return batchedFindImprovement(s.eng, s.ps, s.workers, reuse, false, nil,
-		func(v int, sc *pricing.Scan) (int64, func(int) bool, rowPrice) {
-			set := s.model.set(v)
-			return pricing.UsageSubset(sc.CurrentRow(), set, po),
-				func(add int) bool { return view.HasEdge(v, add) },
-				func(dv, dw []int32, threshold int64) (int64, bool) {
-					return pricing.PatchedSubsetBelow(dv, dw, set, po, threshold)
-				}
-		})
+	return batchedSweep(s.eng, s.ps, s.workers, reuse, nil, nil,
+		func(v int, rows rowLookup) (Move, int64, int64, bool) { return s.scanMoves(v, obj, true, rows) })
 }
 
 // FindImprovementBatched is the budget model's batched certification
@@ -259,17 +194,9 @@ func (s *budgetSession) FindImprovementBatched(obj Objective) (Move, int64, int6
 }
 
 func (s *budgetSession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
 	view := s.ps.View()
-	return batchedFindImprovement(s.eng, s.ps, s.workers, reuse, true,
-		func(add int) bool { return view.Degree(add) < s.k },
-		func(v int, sc *pricing.Scan) (int64, func(int) bool, rowPrice) {
-			return sc.CurrentUsage(po),
-				func(add int) bool {
-					return view.HasEdge(v, add) || view.Degree(add) >= s.k
-				},
-				patchedBelow(po)
-		})
+	return batchedSweep(s.eng, s.ps, s.workers, reuse, func(add int) bool { return view.Degree(add) < s.k }, view,
+		func(v int, rows rowLookup) (Move, int64, int64, bool) { return s.scanMoves(v, obj, true, rows) })
 }
 
 // FindImprovementBatched is the greedy model's batched certification
@@ -286,115 +213,23 @@ func (s *greedySession) FindImprovementBatched(obj Objective) (Move, int64, int6
 }
 
 func (s *greedySession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
-	rows := sweepRows(s.eng, s.ps, s.workers, reuse, nil)
-	viol, _ := sweep(nil, s.ps.N(), s.ps.View(), func(v int) *Violation {
-		return improvement(s.scanMovesBatched(v, obj, rows, true))
-	})
-	return viol.asMove()
-}
-
-// scanMovesBatched is scanMoves priced through the shared rows: the same
-// three stages in the same enumeration order with the same
-// running-threshold handoff and the same firstOnly semantics, so the
-// returned move is bit-identical for any worker count.
-func (s *greedySession) scanMovesBatched(v int, obj Objective, rows rowLookup, firstOnly bool) (best Move, oldCost, newCost int64, ok bool) {
-	po := pobj(obj)
-	view := s.ps.View()
-	n := view.N()
-	psc := s.ps.NewScan(v)
-	defer psc.Close()
-	deg := int64(view.Degree(v))
-	cur := s.edgeCost*deg + psc.CurrentUsage(po)
-	bestCost := cur
-	state := scratchState(s.eng, n)
-	skipKnown := func(add int) bool { return add == v || view.HasEdge(v, add) }
-	runStage := func(pricer scan.Pricer[bfsRow], toMove func(c scan.Cand) Move) bool {
-		spec := scan.Spec{
-			Workers:   s.workers,
-			N:         n,
-			Threshold: bestCost,
-			Order:     scan.ByEnumeration,
-			Skip:      skipKnown,
-			Cancel:    psc.CancelHook(),
-		}
-		var c scan.Cand
-		var found bool
-		if firstOnly {
-			c, found = scan.First(spec, state, pricer)
-		} else {
-			c, found = scan.Best(spec, state, pricer)
-		}
-		if found {
-			best, bestCost, ok = toMove(c), c.Cost, true
-		}
-		return found && firstOnly
-	}
-
-	// Adds: the shared row IS the exact post-add endpoint row — adding vw
-	// excludes no vertex, so d_{G+vw}(v,·) = min(d_G(v,·), 1+d_G(w,·))
-	// prices exactly from the cache with no BFS and no verification pass.
-	addOffset := s.edgeCost * (deg + 1)
-	addPricer := func(_ bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
-		if c, below := pricing.PatchedBelow(psc.CurrentRow(), rows(add), po, threshold()-addOffset); below {
-			yield(0, addOffset+c)
-		}
-	}
-	if runStage(addPricer, func(c scan.Cand) Move { return Move{Kind: KindAdd, V: v, Add: c.Add} }) {
-		return best, cur, bestCost, true
-	}
-
-	// Deletions: the scan's dropped-edge rows price them for free, exactly
-	// as in the per-agent scan.
-	for i, w := range psc.Drops() {
-		if c := s.edgeCost*(deg-1) + psc.DeletionUsage(i, po); c < bestCost {
-			best, bestCost, ok = Move{Kind: KindDelete, V: v, Drop: int(w)}, c, true
-			if firstOnly {
-				return best, cur, bestCost, true
-			}
-		}
-	}
-
-	// Swaps: the swap model's filter-then-verify — the shared row lower-
-	// bounds the deviator-excluded row, flagged candidates pay one exact
-	// BFS shared across dropped edges.
-	swapOffset := s.edgeCost * deg
-	drops, dropRows := psc.Drops(), psc.DropRows()
-	swapPricer := func(ws bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
-		shared := rows(add)
-		exact := false
-		for i := range drops {
-			if _, maybe := pricing.PatchedBelow(dropRows[i], shared, po, threshold()-swapOffset); !maybe {
-				continue
-			}
-			if !exact {
-				view.BFSSkipVertex(add, v, ws.dist, ws.queue)
-				exact = true
-			}
-			if c, below := pricing.PatchedBelow(dropRows[i], ws.dist, po, threshold()-swapOffset); below {
-				if !yield(i, swapOffset+c) {
-					return
-				}
-			}
-		}
-	}
-	runStage(swapPricer, func(c scan.Cand) Move {
-		return Move{Kind: KindSwap, V: v, Drop: int(drops[c.DropIdx]), Add: c.Add}
-	})
-	return best, cur, bestCost, ok
+	return batchedSweep(s.eng, s.ps, s.workers, reuse, nil, s.ps.View(),
+		func(v int, rows rowLookup) (Move, int64, int64, bool) { return s.scanMoves(v, obj, true, rows) })
 }
 
 // CheckSwapBatched is CheckSwap computed via the batched cross-agent pass:
 // same verdict, same deterministic witness (deletion-criticality checks
 // still run per agent from the scan's dropped-edge rows; only the
-// candidate-endpoint BFS reuse changes). One frozen snapshot, n shared
-// rows in one arena, exact verification for flagged candidates only.
+// candidate-endpoint BFS reuse changes). One frozen snapshot, shared rows
+// built on first touch, exact verification for flagged candidates only.
 func CheckSwapBatched(g *graph.Graph, obj Objective, workers int, deletionCritical bool) (bool, *Violation, error) {
 	return CheckSwapBatchedCtx(nil, g, obj, workers, deletionCritical)
 }
 
 // CheckSwapBatchedCtx is CheckSwapBatched with cooperative cancellation:
-// ctx (nil tolerated) is polled between the shared-row BFS passes during
-// construction and between per-agent scans afterwards, and its error is
+// ctx (nil tolerated) is polled between per-agent scans and, through each
+// scan's cancel hook, per candidate endpoint — which is also where the
+// shared rows are built, one first touch at a time — and its error is
 // returned on expiry. Verdict and witness are bit-identical to
 // CheckSwapBatched.
 func CheckSwapBatchedCtx(ctx context.Context, g *graph.Graph, obj Objective, workers int, deletionCritical bool) (bool, *Violation, error) {
@@ -405,15 +240,11 @@ func CheckSwapBatchedCtx(ctx context.Context, g *graph.Graph, obj Objective, wor
 	if !g.IsConnected() {
 		return false, nil, ErrDisconnected
 	}
-	workers = normWorkers(workers)
 	eng := pricing.Shared(workers)
 	f := g.Freeze()
-	rows, err := batchRows(ctx, eng, f, workers, nil)
-	if err != nil {
-		return false, nil, err
-	}
+	rows := newFirstTouchRows(eng, f)
 	viol, err := swapScan(ctx, eng, f, func(v int) *pricing.Scan { return eng.NewScan(f, v) },
-		obj, deletionCritical, func(w int) []int32 { return rows[w] })
+		obj, deletionCritical, rows.row)
 	if err != nil {
 		return false, nil, err
 	}

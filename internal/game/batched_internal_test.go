@@ -160,7 +160,7 @@ func benchSweepRows(b *testing.B, g *graph.Graph, reuse bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows := sweepRows(s.eng, s.ps, 1, reuse, nil)
-		if rows(0)[0] != 0 {
+		if row, _ := rows(0); row[0] != 0 {
 			b.Fatal("bad row")
 		}
 		_ = n

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/pricing"
+	"repro/internal/scan"
 )
 
 // DefaultBudget is the CLI default for the bounded-budget model's uniform
@@ -81,7 +82,7 @@ func budgetFresh(v, add int, hasEdge func(u, v int) bool) bool {
 // The enumeration is the basic game's add-major order with over-budget
 // fresh endpoints filtered out before their BFS is paid; per-agent scans
 // are sharded across the session's workers with the deterministic
-// enumeration-first merge (scanAddMajor), so witnesses are identical for
+// enumeration-first merge (scanSwaps), so witnesses are identical for
 // any worker count.
 type budgetSession struct {
 	g       *graph.Graph
@@ -122,36 +123,32 @@ func (s *budgetSession) SocialCost(obj Objective) int64 {
 }
 
 func (s *budgetSession) BestMove(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanMoves(v, obj, false)
+	return s.scanMoves(v, obj, false, nil)
 }
 
 func (s *budgetSession) FirstImproving(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanMoves(v, obj, true)
+	return s.scanMoves(v, obj, true, nil)
 }
 
-func (s *budgetSession) scanMoves(v int, obj Objective, firstOnly bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
+// scanMoves is the swap model's per-agent scan (swapAgentScan) with
+// infeasible fresh targets (no budget room) skipped alongside adds onto
+// existing neighbors — the latter are pure deletions, which never price
+// strictly below cur under a distance cost (the naive oracle keeps
+// enumerating everything, pinning that the skip is outcome-preserving).
+// rows, when set, puts the shared-row filter in front.
+func (s *budgetSession) scanMoves(v int, obj Objective, firstOnly bool, rows rowLookup) (Move, int64, int64, bool) {
 	view := s.ps.View()
-	scan := s.ps.NewScan(v)
-	defer scan.Close()
-	cur := scan.CurrentUsage(po)
-	if withinTwo(scan.CurrentRow()) {
-		return Move{}, cur, cur, false
-	}
-	// Skip infeasible fresh targets (no budget room) and adds onto existing
-	// neighbors — the latter are pure deletions, which never price strictly
-	// below cur under a distance cost (the naive oracle keeps enumerating
-	// everything, pinning that the skip is outcome-preserving).
-	cand, found := scanAddMajor(s.eng, view, scan, s.workers,
+	sc := s.ps.NewScan(v)
+	defer sc.Close()
+	cand, cur, found := swapAgentScan(s.eng, view, sc, obj,
 		func(add int) bool {
 			return view.HasEdge(v, add) || view.Degree(add) >= s.k
 		},
-		patchedBelow(po),
-		cur, firstOnly)
+		firstOnly, scan.ByEnumeration, rows)
 	if !found {
 		return Move{}, cur, cur, false
 	}
-	return Move{V: v, Drop: int(scan.Drops()[cand.DropIdx]), Add: cand.Add}, cur, cand.Cost, true
+	return candMove(sc, cand), cur, cand.Cost, true
 }
 
 // PriceMove prices a single feasible candidate from two patched BFS rows
@@ -219,7 +216,7 @@ func (s *budgetSession) CheckStable(obj Objective) (bool, *Violation, error) {
 
 // budgetNaive is the re-freeze oracle: every scan prices over a fresh
 // frozen snapshot (the pre-session lifecycle), probes pay apply-measure-
-// revert on the map graph.
+// revert on the mutable graph.
 type budgetNaive struct {
 	g       *graph.Graph
 	workers int
@@ -244,25 +241,29 @@ func (s *budgetNaive) scanMoves(v int, obj Objective, firstOnly bool) (Move, int
 	po := pobj(obj)
 	f := s.g.Freeze()
 	eng := pricing.Shared(s.workers)
-	scan := eng.NewScan(f, v)
-	defer scan.Close()
-	cur := scan.CurrentUsage(po)
+	sc := eng.NewScan(f, v)
+	defer sc.Close()
+	cur := sc.CurrentUsage(po)
 	// The oracle skips only what feasibility demands: adjacent adds stay
 	// enumerated (they can never win), pinning the fast instance's
-	// deletion-skip as outcome-preserving.
-	cand, found := scanAddMajor(eng, f, scan, s.workers,
-		func(add int) bool {
+	// deletion-skip as outcome-preserving, and no candidate filter runs.
+	cand, found := scanSwaps(eng, f, sc, swapCands{
+		workers: s.workers,
+		skipAdd: func(add int) bool {
 			return budgetFresh(v, add, f.HasEdge) && f.Degree(add) >= s.k
 		},
-		func(dv, dw []int32, threshold int64) (int64, bool) {
+		price: func(dv, dw []int32, threshold int64) (int64, bool) {
 			c := pricing.Patched(dv, dw, po)
 			return c, c < threshold
 		},
-		cur, firstOnly)
+		threshold: cur,
+		firstOnly: firstOnly,
+		order:     scan.ByEnumeration,
+	})
 	if !found {
 		return Move{}, cur, cur, false
 	}
-	return Move{V: v, Drop: int(scan.Drops()[cand.DropIdx]), Add: cand.Add}, cur, cand.Cost, true
+	return candMove(sc, cand), cur, cand.Cost, true
 }
 
 func (s *budgetNaive) PriceMove(m Move, obj Objective) int64 { return Evaluate(s.g, m, obj) }

@@ -1,9 +1,15 @@
 package game
 
+import (
+	"context"
+	"sync/atomic"
+)
+
 // ScanCanceller is the optional capability of session instances whose
 // per-agent candidate scans poll a cooperative cancel hook between pricing
-// units (one poll per candidate-endpoint BFS, the granularity batchRows
-// polls at). Installing a hook makes a long single-agent scan — the
+// units (one poll per candidate endpoint, never inside its BFS; the
+// one-shot swap checks install the same hook from their context).
+// Installing a hook makes a long single-agent scan — the
 // /v1/bestresponse hot path, where one vertex's scan is Θ(n) BFS —
 // abortable mid-scan instead of being one uncancellable pricing unit.
 //
@@ -26,4 +32,25 @@ func SetScanCancel(inst Instance, cancel func() bool) bool {
 		sc.SetScanCancel(cancel)
 	}
 	return ok
+}
+
+// ContextCancel adapts ctx to a scan cancel hook: a ctx.Err() poll latched
+// through an atomic flag, so every scan chunk observes the first expiry
+// without re-querying the context. It is nil for a context that can never
+// be cancelled (nil, Background), so such scans pay no poll at all.
+func ContextCancel(ctx context.Context) func() bool {
+	if ctx == nil || ctx.Done() == nil {
+		return nil
+	}
+	var stop atomic.Bool
+	return func() bool {
+		if stop.Load() {
+			return true
+		}
+		if ctx.Err() != nil {
+			stop.Store(true)
+			return true
+		}
+		return false
+	}
 }

@@ -26,8 +26,9 @@ func pollCtx(ctx context.Context) error {
 }
 
 // CheckSwapCtx is CheckSwap with cooperative cancellation: ctx is polled
-// between per-agent scans and its error returned on expiry. Verdict and
-// witness are bit-identical to CheckSwap for any worker count.
+// between per-agent scans and per candidate endpoint inside them, and its
+// error returned on expiry. Verdict and witness are bit-identical to
+// CheckSwap for any worker count.
 func CheckSwapCtx(ctx context.Context, g *graph.Graph, obj Objective, workers int, deletionCritical bool) (bool, *Violation, error) {
 	n := g.N()
 	if n <= 1 {

@@ -10,7 +10,7 @@ import (
 
 // FuzzGreedyApply drives a greedy fast instance with a fuzzer-chosen
 // sequence of adds, deletes, swaps, and interleaved undos, mirroring every
-// operation onto a plain map-backed graph. After every mutation the
+// operation onto a plain mutable graph. After every mutation the
 // instance's authoritative graph must equal the mirror, and its
 // session-backed pricing must agree with a fresh naive instance on the
 // mirror (per-agent cost and social cost) — the apply/undo path of every
@@ -114,7 +114,7 @@ func FuzzGreedyApply(f *testing.F) {
 
 // FuzzBudgetApply drives a bounded-budget fast instance with a
 // fuzzer-chosen sequence of feasible swaps and interleaved undos, mirroring
-// every operation onto a plain map-backed graph. Infeasible candidates
+// every operation onto a plain mutable graph. Infeasible candidates
 // (over-budget targets) are filtered against the mirror exactly as the
 // model's scans filter them, so every generated move must be accepted by
 // Apply; after every mutation the instance's authoritative graph must equal

@@ -20,7 +20,7 @@
 //   - New: the fast path — one incremental pricing session per trajectory,
 //     O(deg) adjacency patches per applied move, engine-sharded scans; and
 //   - Naive: the differential-test oracle — re-freeze or apply-measure-
-//     revert pricing on the map-backed graph, no shared state.
+//     revert pricing on the mutable graph, no shared state.
 //
 // Both flavors implement Instance, enumerate candidates in the same
 // deterministic order, and consume randomness identically, so a dynamics
@@ -203,7 +203,7 @@ type Model interface {
 	// authoritative graph; route every move through Instance.Apply.
 	New(g *graph.Graph, workers int) Instance
 	// Naive binds the model to g with oracle pricing: every probe pays a
-	// re-freeze or an apply-measure-revert on the map graph. Trajectories
+	// re-freeze or an apply-measure-revert on the mutable graph. Trajectories
 	// driven through a Naive instance are the differential-test reference
 	// for the fast instance.
 	Naive(g *graph.Graph, workers int) Instance
@@ -254,7 +254,7 @@ func normWorkers(workers int) int {
 	return workers
 }
 
-// Cost returns agent v's usage cost on the map-backed graph: the distance
+// Cost returns agent v's usage cost on the mutable graph: the distance
 // sum (Sum) or eccentricity (Max), InfCost when disconnected. It is the
 // oracle-side counterpart of the session pricers.
 func Cost(g *graph.Graph, v int, obj Objective) int64 {
@@ -322,7 +322,7 @@ func applyLoose(g *graph.Graph, m Move) (undo func()) {
 	}
 }
 
-// ApplyToGraph applies m to the map-backed graph, panicking on infeasible
+// ApplyToGraph applies m to the mutable graph, panicking on infeasible
 // moves (swap/delete of an absent edge), and returns the undo. It is the
 // graph half of every fast instance's Apply and the whole of the naive
 // instances'.

@@ -138,11 +138,11 @@ func (s *greedySession) SocialCost(obj Objective) int64 {
 }
 
 func (s *greedySession) BestMove(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanMoves(v, obj, false)
+	return s.scanMoves(v, obj, false, nil)
 }
 
 func (s *greedySession) FirstImproving(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanMoves(v, obj, true)
+	return s.scanMoves(v, obj, true, nil)
 }
 
 // scanMoves enumerates all feasible moves of agent v in the model's
@@ -154,7 +154,11 @@ func (s *greedySession) FirstImproving(v int, obj Objective) (Move, int64, int64
 // is the running best of the earlier stages, so cost ties resolve toward
 // the earlier stage and, within a stage, toward the enumeration-first
 // candidate — exactly the sequential loop's outcome for any worker count.
-func (s *greedySession) scanMoves(v int, obj Objective, firstOnly bool) (best Move, oldCost, newCost int64, ok bool) {
+// Under max each stage runs the far-set filter (landmark rows in G for
+// adds, in G−v for swaps) with the stage's edge-cost offset. rows, when
+// set, supplies the shared full-graph rows: the add stage then prices
+// exactly from them with no BFS, and the swap stage filters through them.
+func (s *greedySession) scanMoves(v int, obj Objective, firstOnly bool, rows rowLookup) (best Move, oldCost, newCost int64, ok bool) {
 	po := pobj(obj)
 	view := s.ps.View()
 	n := view.N()
@@ -163,41 +167,54 @@ func (s *greedySession) scanMoves(v int, obj Objective, firstOnly bool) (best Mo
 	deg := int64(view.Degree(v))
 	cur := s.edgeCost*deg + psc.CurrentUsage(po)
 	bestCost := cur
-	state := scratchState(s.eng, n)
-	skipKnown := func(add int) bool { return add == v || view.HasEdge(v, add) }
-	runStage := func(pricer scan.Pricer[bfsRow], toMove func(c scan.Cand) Move) bool {
-		spec := scan.Spec{
-			Workers:   s.workers,
-			N:         n,
-			Threshold: bestCost,
-			Order:     scan.ByEnumeration,
-			Skip:      skipKnown,
-			Cancel:    psc.CancelHook(),
-		}
-		var c scan.Cand
-		var found bool
-		if firstOnly {
-			c, found = scan.First(spec, state, pricer)
-		} else {
-			c, found = scan.Best(spec, state, pricer)
-		}
-		if found {
-			best, bestCost, ok = toMove(c), c.Cost, true
-		}
-		return found && firstOnly
+	found := func(m Move, c int64) bool {
+		best, bestCost, ok = m, c, true
+		return firstOnly
 	}
+	adjacent := adjacentTo(view, v)
 
-	// Adds: d_{G+vw}(v,·) = min(d_G(v,·), 1+d_G(w,·)), one BFS per fresh
-	// endpoint against the scan's current row, offset by the maintenance
-	// price of the extra edge.
+	// Adds: d_{G+vw}(v,·) = min(d_G(v,·), 1+d_G(w,·)) — adding vw
+	// excludes no vertex, so the endpoint's row is its full-graph row: one
+	// BFS per fresh endpoint, or the shared row itself — offset by the
+	// maintenance price of the extra edge.
 	addOffset := s.edgeCost * (deg + 1)
+	var addFar *farFilter
+	if obj == Max {
+		addFar = newFarFilter(s.eng, view, v, psc.CurrentRow(), nil, true, [][]int32{psc.CurrentRow()}, addOffset)
+	}
 	addPricer := func(ws bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
-		view.BFSInto(add, ws.dist, ws.queue)
-		if c, below := pricing.PatchedBelow(psc.CurrentRow(), ws.dist, po, threshold()-addOffset); below {
+		if addFar.rejects(add, threshold()) {
+			return
+		}
+		dw, built := ws.dist, true
+		if rows != nil {
+			dw, built = rows(add)
+		} else {
+			view.BFSInto(add, ws.dist, ws.queue)
+		}
+		if built {
+			addFar.pay()
+		}
+		if c, below := pricing.PatchedBelow(psc.CurrentRow(), dw, po, threshold()-addOffset); below {
 			yield(0, addOffset+c)
 		}
 	}
-	if runStage(addPricer, func(c scan.Cand) Move { return Move{Kind: KindAdd, V: v, Add: c.Add} }) {
+	spec := scan.Spec{
+		Workers:   s.workers,
+		N:         n,
+		Threshold: bestCost,
+		Order:     scan.ByEnumeration,
+		Skip:      func(add int) bool { return add == v || adjacent(add) },
+		Cancel:    psc.CancelHook(),
+	}
+	var c scan.Cand
+	var hit bool
+	if firstOnly {
+		c, hit = scan.First(spec, scratchState(s.eng, n), addPricer)
+	} else {
+		c, hit = scan.Best(spec, scratchState(s.eng, n), addPricer)
+	}
+	if hit && found(Move{Kind: KindAdd, V: v, Add: c.Add}, c.Cost) {
 		return best, cur, bestCost, true
 	}
 
@@ -205,8 +222,7 @@ func (s *greedySession) scanMoves(v int, obj Objective, firstOnly bool) (best Mo
 	// to shard, so this stage stays a sequential strict-improvement fold.
 	for i, w := range psc.Drops() {
 		if c := s.edgeCost*(deg-1) + psc.DeletionUsage(i, po); c < bestCost {
-			best, bestCost, ok = Move{Kind: KindDelete, V: v, Drop: int(w)}, c, true
-			if firstOnly {
+			if found(Move{Kind: KindDelete, V: v, Drop: int(w)}, c) {
 				return best, cur, bestCost, true
 			}
 		}
@@ -215,20 +231,19 @@ func (s *greedySession) scanMoves(v int, obj Objective, firstOnly bool) (best Mo
 	// Swaps: add-major over fresh endpoints (the target edge must not
 	// exist; deletions were priced above), against the dropped-edge rows.
 	swapOffset := s.edgeCost * deg
-	drops, dropRows := psc.Drops(), psc.DropRows()
-	swapPricer := func(ws bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
-		view.BFSSkipVertex(add, v, ws.dist, ws.queue)
-		for i := range drops {
-			if c, below := pricing.PatchedBelow(dropRows[i], ws.dist, po, threshold()-swapOffset); below {
-				if !yield(i, swapOffset+c) {
-					return
-				}
-			}
-		}
-	}
-	runStage(swapPricer, func(c scan.Cand) Move {
-		return Move{Kind: KindSwap, V: v, Drop: int(drops[c.DropIdx]), Add: c.Add}
+	c, hit = scanSwaps(s.eng, view, psc, swapCands{
+		workers:   s.workers,
+		skipAdd:   adjacent,
+		price:     offsetPrice(patchedBelow(po), swapOffset),
+		threshold: bestCost,
+		firstOnly: firstOnly,
+		order:     scan.ByEnumeration,
+		rows:      rows,
+		far:       maxFilter(s.eng, view, psc, obj, swapOffset),
 	})
+	if hit {
+		found(candMove(psc, c), c.Cost)
+	}
 	return best, cur, bestCost, ok
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/pricing"
+	"repro/internal/scan"
 )
 
 // Interests is the communication-interests variant of the basic game
@@ -133,7 +134,7 @@ func (m Interests) Naive(g *graph.Graph, workers int) Instance {
 // BFS per candidate endpoint, reduced over I(v). The enumeration is the
 // basic game's add-major order; ties keep the enumeration-first candidate.
 // Candidate endpoints are sharded across the session's workers *inside*
-// each vertex (scanAddMajor), the way swapScan shards the basic game's
+// each vertex (scanSwaps), the way swapScan shards the basic game's
 // checker: with dense interest sets the per-candidate Θ(|I(v)|) reduction
 // rides on top of every per-endpoint BFS, and both now split across cores
 // while staying bit-identical to the sequential scan.
@@ -176,37 +177,58 @@ func (s *interestsSession) SocialCost(obj Objective) int64 {
 }
 
 func (s *interestsSession) BestMove(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanMoves(v, obj, false)
+	return s.scanMoves(v, obj, false, nil)
 }
 
 func (s *interestsSession) FirstImproving(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanMoves(v, obj, true)
+	return s.scanMoves(v, obj, true, nil)
 }
 
-func (s *interestsSession) scanMoves(v int, obj Objective, firstOnly bool) (best Move, oldCost, newCost int64, ok bool) {
+// scanMoves runs agent v's interest-restricted swap scan (scanSwaps) in
+// the basic game's add-major order against cur = cost over I(v). Adds
+// onto existing neighbors realize pure deletions, and a deletion never
+// shortens any distance, so such candidates can never price strictly
+// below cur: skipping them drops the endpoint's BFS and its whole
+// per-drop reduction without changing any scan outcome (the naive oracle
+// still enumerates them, so the differential suite pins this). On
+// hub-heavy positions this removes the hub's entire O(n·deg·|I|) scan.
+// The cost reads an endpoint's row only at I(v), so once the scan has
+// paid |I(v)| endpoint BFS it switches to target-major pricing — |I(v)|
+// BFS of G−v from the targets price every remaining candidate exactly —
+// and under max the far-set filter draws its landmarks from I(v). rows,
+// when set, puts the shared-row filter in front.
+func (s *interestsSession) scanMoves(v int, obj Objective, firstOnly bool, rows rowLookup) (best Move, oldCost, newCost int64, ok bool) {
 	po := pobj(obj)
 	set := s.model.set(v)
-	scan := s.ps.NewScan(v)
-	defer scan.Close()
-	cur := pricing.UsageSubset(scan.CurrentRow(), set, po)
 	view := s.ps.View()
-	// Adds onto existing neighbors realize pure deletions, and a deletion
-	// never shortens any distance, so such candidates can never price
-	// strictly below cur: skipping them drops the endpoint's BFS and its
-	// whole per-drop reduction without changing any scan outcome (the naive
-	// oracle still enumerates them, so the differential suite pins this).
-	// On hub-heavy positions this removes the hub's entire O(n·deg·|I|)
-	// scan.
-	cand, found := scanAddMajor(s.eng, view, scan, s.workers,
-		func(add int) bool { return view.HasEdge(v, add) },
-		func(dv, dw []int32, threshold int64) (int64, bool) {
+	sc := s.ps.NewScan(v)
+	defer sc.Close()
+	cur := pricing.UsageSubset(sc.CurrentRow(), set, po)
+	cfg := swapCands{
+		workers: s.workers,
+		skipAdd: adjacentTo(view, v),
+		price: func(dv, dw []int32, threshold int64) (int64, bool) {
 			return pricing.PatchedSubsetBelow(dv, dw, set, po, threshold)
 		},
-		cur, firstOnly)
+		threshold: cur,
+		firstOnly: firstOnly,
+		order:     scan.ByEnumeration,
+		rows:      rows,
+		targets: &targetMajor{
+			rows: newLazyRows(s.eng, view, v, set),
+			price: func(dv []int32, cols [][]int32, add int, threshold int64) (int64, bool) {
+				return pricing.PatchedTargetsBelow(dv, set, cols, add, po, threshold)
+			},
+		},
+	}
+	if obj == Max && len(set) > 0 {
+		cfg.far = newFarFilter(s.eng, view, v, sc.CurrentRow(), set, false, sc.DropRows(), 0)
+	}
+	cand, found := scanSwaps(s.eng, view, sc, cfg)
 	if !found {
 		return best, cur, cur, false
 	}
-	return Move{V: v, Drop: int(scan.Drops()[cand.DropIdx]), Add: cand.Add}, cur, cand.Cost, true
+	return candMove(sc, cand), cur, cand.Cost, true
 }
 
 func (s *interestsSession) PriceMove(m Move, obj Objective) int64 {

@@ -2,7 +2,6 @@ package game
 
 import (
 	"repro/internal/pricing"
-	"repro/internal/scan"
 )
 
 // This file routes the per-agent sweeping policies through the session's
@@ -81,42 +80,13 @@ func sessionRowCacheStats(ps *pricing.Session) (RowCacheStats, bool) {
 
 // BestMoveRowCached is BestMove priced through the session row cache.
 func (s *SwapSession) BestMoveRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, false)
+	return s.scanAgent(v, obj, false, sweepRows(s.eng, s.ps, s.workers, true, nil))
 }
 
 // FirstImprovingRowCached is FirstImproving priced through the session
 // row cache.
 func (s *SwapSession) FirstImprovingRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, true)
-}
-
-// scanRowCached runs one agent's swap scan with the shared-row filter:
-// the batched sweep's per-vertex pass, with the best-move mode seeded at
-// cur under the ByDropFirst tie-break — exactly BestMove's candidate
-// order, and a winner exists iff BestMove's winner strictly improves, so
-// the (move, costs, ok) quadruple is identical in both modes.
-func (s *SwapSession) scanRowCached(v int, obj Objective, firstOnly bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
-	view := s.ps.View()
-	rows := sweepRows(s.eng, s.ps, s.workers, true, nil)
-	sc := s.ps.NewScan(v)
-	defer sc.Close()
-	cur := sc.CurrentUsage(po)
-	if withinTwo(sc.CurrentRow()) {
-		return Move{}, cur, cur, false
-	}
-	order := scan.ByDropFirst
-	if firstOnly {
-		order = scan.ByEnumeration
-	}
-	cand, found := scanAddMajorBatched(s.eng, view, sc, s.workers, rows,
-		func(add int) bool { return view.HasEdge(v, add) },
-		patchedBelow(po),
-		cur, firstOnly, order)
-	if !found {
-		return Move{}, cur, cur, false
-	}
-	return Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add}, cur, cand.Cost, true
+	return s.scanAgent(v, obj, true, sweepRows(s.eng, s.ps, s.workers, true, nil))
 }
 
 // PriceMoveBelow is the random policy's row-cached probe: the memoized
@@ -153,15 +123,13 @@ func (s *SwapSession) RowCacheStats() (RowCacheStats, bool) { return sessionRowC
 // add stage prices exactly from the shared rows (no BFS at all), the swap
 // stage filters through them.
 func (s *greedySession) BestMoveRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	rows := sweepRows(s.eng, s.ps, s.workers, true, nil)
-	return s.scanMovesBatched(v, obj, rows, false)
+	return s.scanMoves(v, obj, false, sweepRows(s.eng, s.ps, s.workers, true, nil))
 }
 
 // FirstImprovingRowCached is FirstImproving priced through the session
 // row cache.
 func (s *greedySession) FirstImprovingRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	rows := sweepRows(s.eng, s.ps, s.workers, true, nil)
-	return s.scanMovesBatched(v, obj, rows, true)
+	return s.scanMoves(v, obj, true, sweepRows(s.eng, s.ps, s.workers, true, nil))
 }
 
 // Close releases the session's row-cache arenas; see pricing.Session.Close.
@@ -175,36 +143,13 @@ func (s *greedySession) RowCacheStats() (RowCacheStats, bool) { return sessionRo
 
 // BestMoveRowCached is BestMove priced through the session row cache.
 func (s *interestsSession) BestMoveRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, false)
+	return s.scanMoves(v, obj, false, sweepRows(s.eng, s.ps, s.workers, true, nil))
 }
 
 // FirstImprovingRowCached is FirstImproving priced through the session
 // row cache.
 func (s *interestsSession) FirstImprovingRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, true)
-}
-
-// scanRowCached mirrors scanMoves with the shared-row filter in front of
-// the interest-restricted reductions; both engine modes keep scanMoves'
-// ByEnumeration order and cur threshold, so results are identical.
-func (s *interestsSession) scanRowCached(v int, obj Objective, firstOnly bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
-	set := s.model.set(v)
-	view := s.ps.View()
-	rows := sweepRows(s.eng, s.ps, s.workers, true, nil)
-	sc := s.ps.NewScan(v)
-	defer sc.Close()
-	cur := pricing.UsageSubset(sc.CurrentRow(), set, po)
-	cand, found := scanAddMajorBatched(s.eng, view, sc, s.workers, rows,
-		func(add int) bool { return view.HasEdge(v, add) },
-		func(dv, dw []int32, threshold int64) (int64, bool) {
-			return pricing.PatchedSubsetBelow(dv, dw, set, po, threshold)
-		},
-		cur, firstOnly, scan.ByEnumeration)
-	if !found {
-		return Move{}, cur, cur, false
-	}
-	return Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add}, cur, cand.Cost, true
+	return s.scanMoves(v, obj, true, sweepRows(s.eng, s.ps, s.workers, true, nil))
 }
 
 // Close releases the session's row-cache arenas; see pricing.Session.Close.
@@ -218,39 +163,21 @@ func (s *interestsSession) RowCacheStats() (RowCacheStats, bool) { return sessio
 
 // BestMoveRowCached is BestMove priced through the session row cache.
 func (s *budgetSession) BestMoveRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, false)
+	return s.scanMoves(v, obj, false, s.rowCache())
 }
 
 // FirstImprovingRowCached is FirstImproving priced through the session
 // row cache.
 func (s *budgetSession) FirstImprovingRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, true)
+	return s.scanMoves(v, obj, true, s.rowCache())
 }
 
-// scanRowCached mirrors scanMoves with the shared-row filter in front;
-// over-budget endpoints are skipped before their row is ever read, so
-// rows of endpoints no agent can target are not computed by the Sync.
-func (s *budgetSession) scanRowCached(v int, obj Objective, firstOnly bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
+// rowCache syncs only the rows of endpoints with budget room: the scan
+// skips over-budget endpoints before their row is ever read, so rows no
+// agent can target are not computed.
+func (s *budgetSession) rowCache() rowLookup {
 	view := s.ps.View()
-	rows := sweepRows(s.eng, s.ps, s.workers, true,
-		func(add int) bool { return view.Degree(add) < s.k })
-	sc := s.ps.NewScan(v)
-	defer sc.Close()
-	cur := sc.CurrentUsage(po)
-	if withinTwo(sc.CurrentRow()) {
-		return Move{}, cur, cur, false
-	}
-	cand, found := scanAddMajorBatched(s.eng, view, sc, s.workers, rows,
-		func(add int) bool {
-			return view.HasEdge(v, add) || view.Degree(add) >= s.k
-		},
-		patchedBelow(po),
-		cur, firstOnly, scan.ByEnumeration)
-	if !found {
-		return Move{}, cur, cur, false
-	}
-	return Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add}, cur, cand.Cost, true
+	return sweepRows(s.eng, s.ps, s.workers, true, func(add int) bool { return view.Degree(add) < s.k })
 }
 
 // Close releases the session's row-cache arenas; see pricing.Session.Close.

@@ -84,53 +84,76 @@ func CheckSwap(g *graph.Graph, obj Objective, workers int, deletionCritical bool
 // first-improvement merge, so single-agent workloads on huge n use every
 // worker, the early exit at the first violating vertex wastes no
 // cross-vertex work, and the witness is identical for any worker count.
-// rows, when non-nil, supplies the batched pass's shared full-graph rows
-// (see scanAddMajorBatched).
+// A non-nil ctx is also polled per candidate endpoint through each scan's
+// cancel hook, and a sweep whose context expired mid-scan returns its
+// error rather than the scan's unspecified result. rows, when non-nil,
+// supplies the batched pass's shared full-graph rows (see scanSwaps).
 func swapScan(ctx context.Context, eng *pricing.Engine, view pricing.Snapshot, newScan func(v int) *pricing.Scan,
 	obj Objective, deletionCritical bool, rows rowLookup) (*Violation, error) {
+	cancel := ContextCancel(ctx)
 	return sweep(ctx, view.N(), view, func(v int) *Violation {
 		sc := newScan(v)
 		defer sc.Close()
+		if cancel != nil {
+			sc.SetCancel(cancel)
+		}
 		return swapScanVertex(eng, view, sc, obj, deletionCritical, rows)
 	})
 }
 
 // swapScanVertex scans all moves of sc's agent, returning the first
 // violation in per-vertex order: deletion-criticality (when requested)
-// before swaps, swaps in the engine's add-major enumeration order. An
-// agent within distance two of everyone is settled by the locality lemma
-// (withinTwo) once the deletion test has run. The swap scan skips adds
-// onto current neighbors (the deletion-skip): such candidates realize pure
-// deletions or no-ops, which never price strictly below cur, so the
-// witness is unchanged while hub-heavy agents (a star center is adjacent
-// to everyone) drop their whole endpoint-BFS scan. With rows set, each
-// candidate is first bounded against its endpoint's shared row and only
-// flagged candidates pay their exact BFS; the witness is the same.
+// before swaps, swaps in the engine's add-major enumeration order (see
+// swapAgentScan).
 func swapScanVertex(eng *pricing.Engine, view pricing.Snapshot, sc *pricing.Scan, obj Objective, deletionCritical bool, rows rowLookup) *Violation {
-	po := pobj(obj)
 	v := sc.V()
-	cur := sc.CurrentUsage(po)
 	if obj == Max && deletionCritical {
-		if viol := deletionViolation(sc, v, cur); viol != nil {
+		if viol := deletionViolation(sc, v, sc.CurrentUsage(pricing.Max)); viol != nil {
 			return viol
 		}
 	}
-	if withinTwo(sc.CurrentRow()) {
+	cand, cur, ok := swapAgentScan(eng, view, sc, obj, adjacentTo(view, v), true, scan.ByEnumeration, rows)
+	if !ok {
 		return nil
 	}
-	if rows != nil {
-		cand, ok := scanAddMajorBatched(eng, view, sc, eng.Workers(), rows,
-			func(add int) bool { return view.HasEdge(v, add) },
-			patchedBelow(po), cur, true, scan.ByEnumeration)
-		if !ok {
-			return nil
-		}
-		return candViolation(sc, cur, cand)
+	return candViolation(sc, cur, cand)
+}
+
+// adjacentTo is the deletion-skip endpoint filter: adds onto current
+// neighbors of v realize pure deletions or no-ops, which never price
+// strictly below the current cost under a distance cost, so skipping
+// them changes no improving move while hub-heavy agents (a star center is
+// adjacent to everyone) drop their whole endpoint-BFS scan. The Naive
+// oracles keep enumerating them, which pins the skip.
+func adjacentTo(view pricing.Snapshot, v int) func(add int) bool {
+	return func(add int) bool { return view.HasEdge(v, add) }
+}
+
+// swapAgentScan is the swap and budget models' per-agent candidate scan:
+// an agent within distance two of everyone is settled by the locality
+// lemma (withinTwo); otherwise scanSwaps runs against the agent's
+// current cost with the far-set filter under max and, with rows set,
+// the shared-row filter. It returns the winning candidate (the first
+// improving one when firstOnly, else the minimum under order) and the
+// agent's current cost.
+func swapAgentScan(eng *pricing.Engine, view pricing.Snapshot, sc *pricing.Scan, obj Objective,
+	skipAdd func(add int) bool, firstOnly bool, order scan.Order, rows rowLookup) (scan.Cand, int64, bool) {
+	po := pobj(obj)
+	cur := sc.CurrentUsage(po)
+	if withinTwo(sc.CurrentRow()) {
+		return scan.Cand{}, cur, false
 	}
-	if b, ok := sc.FirstImproving(po, true, cur); ok {
-		return improvement(Move{V: v, Drop: b.Drop, Add: b.Add}, cur, b.Cost, true)
-	}
-	return nil
+	cand, ok := scanSwaps(eng, view, sc, swapCands{
+		workers:   eng.Workers(),
+		skipAdd:   skipAdd,
+		price:     patchedBelow(po),
+		threshold: cur,
+		firstOnly: firstOnly,
+		order:     order,
+		rows:      rows,
+		far:       maxFilter(eng, view, sc, obj, 0),
+	})
+	return cand, cur, ok
 }
 
 // deletionViolation checks the deletion-criticality half of the
@@ -156,7 +179,7 @@ func deletionViolation(sc *pricing.Scan, v int, cur int64) *Violation {
 // uniform incident edge to drop, and a uniform new endpoint; infeasible
 // draws (isolated vertex, add == v, add == drop) are wasted probes. deg
 // and nb abstract the adjacency source so the fast (live CSR) and naive
-// (map graph) instances consume rng identically.
+// (mutable graph) instances consume rng identically.
 func sampleSwap(rng *rand.Rand, n int, deg func(v int) int, nb func(v, i int) int) (Move, bool) {
 	v := rng.Intn(n)
 	d := deg(v)
@@ -176,7 +199,7 @@ func sampleSwap(rng *rand.Rand, n int, deg func(v int) int, nb func(v, i int) in
 
 // SwapSession is the swap model's fast instance: it owns a live CSR
 // snapshot (pricing.Session over graph.Dyn) kept in sync with the
-// authoritative map-backed graph, so a whole dynamics trajectory — or a
+// authoritative mutable graph, so a whole dynamics trajectory — or a
 // best-response iteration, or an equilibrium-certification sweep — prices
 // every move against one snapshot that is patched in O(deg) per applied
 // move instead of re-frozen in O(n+m).
@@ -272,21 +295,14 @@ func (s *SwapSession) SocialCost(obj Objective) int64 {
 // BestMove returns agent v's cost-minimizing swap over the live snapshot,
 // with the same deterministic (cost, drop, add) tie-break as BestSwap,
 // plus v's current cost (read from the scan for free). The
-// candidate-endpoint scan is sharded across the session's workers and
-// skips adds onto current neighbors (pure deletions never price strictly
-// below cur, so the improving winner is unchanged); an agent within
-// distance two of everyone scans nothing (the locality lemma, withinTwo).
+// candidate-endpoint scan is sharded across the session's workers,
+// admits only candidates strictly below the current cost — so the
+// far-set filter may run under max — and skips adds onto current
+// neighbors (pure deletions never price strictly below cur, so the
+// improving winner is unchanged); an agent within distance two of
+// everyone scans nothing (the locality lemma, withinTwo).
 func (s *SwapSession) BestMove(v int, obj Objective) (best Move, oldCost, newCost int64, ok bool) {
-	sc := s.ps.NewScan(v)
-	defer sc.Close()
-	cur := sc.CurrentUsage(pobj(obj))
-	if withinTwo(sc.CurrentRow()) {
-		return best, cur, cur, false
-	}
-	if b, found := sc.BestMove(pobj(obj), true); found && b.Cost < cur {
-		return Move{V: v, Drop: b.Drop, Add: b.Add}, cur, b.Cost, true
-	}
-	return best, cur, cur, false
+	return s.scanAgent(v, obj, false, nil)
 }
 
 // FirstImproving returns agent v's first improving swap in the engine's
@@ -298,16 +314,26 @@ func (s *SwapSession) BestMove(v int, obj Objective) (best Move, oldCost, newCos
 // naive oracle keeps enumerating everything, pinning the skip). The
 // locality lemma settles an agent within distance two of everyone.
 func (s *SwapSession) FirstImproving(v int, obj Objective) (m Move, oldCost, newCost int64, ok bool) {
+	return s.scanAgent(v, obj, true, nil)
+}
+
+// scanAgent is BestMove (ByDropFirst tie-break) or FirstImproving, with
+// the shared-row filter in front when rows is set (the row-cached and
+// batched paths): a winner exists iff it strictly improves, so the
+// (move, costs, ok) quadruple is the same with or without rows.
+func (s *SwapSession) scanAgent(v int, obj Objective, firstOnly bool, rows rowLookup) (Move, int64, int64, bool) {
+	view := s.ps.View()
 	sc := s.ps.NewScan(v)
 	defer sc.Close()
-	cur := sc.CurrentUsage(pobj(obj))
-	if withinTwo(sc.CurrentRow()) {
-		return m, cur, cur, false
+	order := scan.ByDropFirst
+	if firstOnly {
+		order = scan.ByEnumeration
 	}
-	if b, found := sc.FirstImproving(pobj(obj), true, cur); found {
-		return Move{V: v, Drop: b.Drop, Add: b.Add}, cur, b.Cost, true
+	cand, cur, ok := swapAgentScan(s.eng, view, sc, obj, adjacentTo(view, v), firstOnly, order, rows)
+	if !ok {
+		return Move{}, cur, cur, false
 	}
-	return m, cur, cur, false
+	return candMove(sc, cand), cur, cand.Cost, true
 }
 
 // PriceSwaps streams every candidate swap of agent v over the live
@@ -451,7 +477,7 @@ func (s *SwapSession) probeRow(k probeKey) []int32 {
 // ---------------------------------------------------------------------------
 // Naive instance: the pre-session oracle.
 
-// swapNaive prices every call against the map-backed graph — best-swap and
+// swapNaive prices every call against the mutable graph — best-swap and
 // first-improvement scans re-freeze per call, probes apply-measure-revert
 // — reproducing the pre-session dynamics loop exactly.
 type swapNaive struct {

@@ -57,7 +57,13 @@ func sweep(ctx context.Context, n int, twins adjacency, agent func(v int) *Viola
 		if skip != nil && skip[v] {
 			continue
 		}
-		if viol := agent(v); viol != nil {
+		viol := agent(v)
+		// A scan cut short through a ctx-polling cancel hook returns an
+		// unspecified result; the expired context decides instead.
+		if err := pollCtx(ctx); err != nil {
+			return nil, err
+		}
+		if viol != nil {
 			return viol, nil
 		}
 		if v == 0 && twins != nil {
@@ -76,11 +82,15 @@ func improvement(m Move, oldCost, newCost int64, ok bool) *Violation {
 	return &Violation{Kind: SwapImproves, Move: m, Agent: m.V, OldCost: oldCost, NewCost: newCost}
 }
 
+// candMove maps a swap candidate found by sc's add-major scan to its move.
+func candMove(sc *pricing.Scan, c scan.Cand) Move {
+	return Move{V: sc.V(), Drop: int(sc.Drops()[c.DropIdx]), Add: c.Add}
+}
+
 // candViolation is improvement for a swap candidate found by sc's
 // add-major scan.
 func candViolation(sc *pricing.Scan, cur int64, c scan.Cand) *Violation {
-	v := sc.V()
-	return improvement(Move{V: v, Drop: int(sc.Drops()[c.DropIdx]), Add: c.Add}, cur, c.Cost, true)
+	return improvement(candMove(sc, c), cur, c.Cost, true)
 }
 
 // asMove unpacks a sweep's improving-move violation into FindImprovement's

@@ -49,7 +49,7 @@ func (TwoNeighborhood) New(g *graph.Graph, workers int) Instance {
 }
 
 // Naive returns the BFS-backed oracle instance: every probe re-runs a BFS
-// on the map graph after apply-measure-revert, the slow path the counter
+// on the mutable graph after apply-measure-revert, the slow path the counter
 // arithmetic is validated against.
 func (TwoNeighborhood) Naive(g *graph.Graph, workers int) Instance {
 	return &twoNBNaive{g: g, workers: normWorkers(workers)}
@@ -305,7 +305,7 @@ func (s *twoNBSession) CheckStable(obj Objective) (bool, *Violation, error) {
 // ---------------------------------------------------------------------------
 // Naive instance.
 
-// twoNBNaive prices every candidate by apply-BFS-revert on the map graph in
+// twoNBNaive prices every candidate by apply-BFS-revert on the mutable graph in
 // the same add-major enumeration order as twoNBSession.
 type twoNBNaive struct {
 	g       *graph.Graph

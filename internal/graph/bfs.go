@@ -34,7 +34,8 @@ func (g *Graph) BFSInto(src int, dist []int32, queue []int) int {
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		dv := dist[v]
-		for u := range g.adj[v] {
+		for _, w := range g.adj[v] {
+			u := int(w)
 			if dist[u] == Unreachable {
 				dist[u] = dv + 1
 				queue = append(queue, u)
@@ -63,7 +64,8 @@ func (g *Graph) BFSTree(src int) (parent, dist []int32) {
 	dist[src] = 0
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for u := range g.adj[v] {
+		for _, w := range g.adj[v] {
+			u := int(w)
 			if dist[u] == Unreachable {
 				dist[u] = dist[v] + 1
 				parent[u] = int32(v)
@@ -133,7 +135,8 @@ func (g *Graph) ConnectedComponents() [][]int {
 		seen[s] = true
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
-			for u := range g.adj[v] {
+			for _, w := range g.adj[v] {
+				u := int(w)
 				if !seen[u] {
 					seen[u] = true
 					queue = append(queue, u)

@@ -25,9 +25,7 @@ func (g *Graph) Freeze() *Frozen {
 	}
 	for v := 0; v < n; v++ {
 		f.offset[v] = int32(len(f.neigh))
-		for _, u := range g.Neighbors(v) {
-			f.neigh = append(f.neigh, int32(u))
-		}
+		f.neigh = append(f.neigh, g.adj[v]...)
 	}
 	f.offset[n] = int32(len(f.neigh))
 	return f
@@ -205,7 +203,8 @@ func (g *Graph) IsBipartite() (bool, []int8) {
 		queue = append(queue, s)
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
-			for u := range g.adj[v] {
+			for _, w := range g.adj[v] {
+				u := int(w)
 				if !seen[u] {
 					seen[u] = true
 					color[u] = 1 - color[v]

@@ -1,6 +1,7 @@
 // Package graph implements the undirected-graph substrate for the basic
-// network creation game: a mutable simple graph with O(1) edge insertion,
-// deletion and membership tests, breadth-first search, all-pairs shortest
+// network creation game: a mutable simple graph over sorted adjacency
+// lists (O(log deg) membership tests, O(deg) edge insertion and
+// deletion), breadth-first search, all-pairs shortest
 // paths (sequential and parallel), and the structural predicates the paper's
 // proofs refer to (diameter, eccentricity, girth, cut vertices, power
 // graphs, distance histograms).
@@ -12,7 +13,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Unreachable is the distance value reported for unreachable vertex pairs.
@@ -34,7 +35,7 @@ func NewEdge(u, v int) Edge {
 // Graph is a mutable simple undirected graph on vertices 0..n-1.
 // The zero value is an empty graph on zero vertices; use New to size it.
 type Graph struct {
-	adj []map[int]struct{}
+	adj [][]int32 // adj[v] = neighbors of v, ascending
 	m   int
 }
 
@@ -43,11 +44,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative vertex count %d", n))
 	}
-	adj := make([]map[int]struct{}, n)
-	for i := range adj {
-		adj[i] = make(map[int]struct{})
-	}
-	return &Graph{adj: adj}
+	return &Graph{adj: make([][]int32, n)}
 }
 
 // FromEdges builds a graph on n vertices from an edge list.
@@ -79,7 +76,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) {
 		return false
 	}
-	_, ok := g.adj[u][v]
+	_, ok := slices.BinarySearch(g.adj[u], int32(v))
 	return ok
 }
 
@@ -91,22 +88,29 @@ func (g *Graph) AddEdge(u, v int) bool {
 	if u == v {
 		return false
 	}
-	if _, ok := g.adj[u][v]; ok {
+	i, ok := slices.BinarySearch(g.adj[u], int32(v))
+	if ok {
 		return false
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
+	g.adj[u] = slices.Insert(g.adj[u], i, int32(v))
+	j, _ := slices.BinarySearch(g.adj[v], int32(u))
+	g.adj[v] = slices.Insert(g.adj[v], j, int32(u))
 	g.m++
 	return true
 }
 
 // RemoveEdge deletes edge uv. It returns false if the edge was absent.
 func (g *Graph) RemoveEdge(u, v int) bool {
-	if !g.HasEdge(u, v) {
+	if u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) {
 		return false
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
+	i, ok := slices.BinarySearch(g.adj[u], int32(v))
+	if !ok {
+		return false
+	}
+	g.adj[u] = slices.Delete(g.adj[u], i, i+1)
+	j, _ := slices.BinarySearch(g.adj[v], int32(u))
+	g.adj[v] = slices.Delete(g.adj[v], j, j+1)
 	g.m--
 	return true
 }
@@ -121,47 +125,41 @@ func (g *Graph) Degree(v int) int {
 // The returned slice is freshly allocated.
 func (g *Graph) Neighbors(v int) []int {
 	g.check(v)
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
+	out := make([]int, len(g.adj[v]))
+	for i, u := range g.adj[v] {
+		out[i] = int(u)
 	}
-	sort.Ints(out)
 	return out
 }
 
-// AppendNeighbors appends the neighbors of v to buf (unsorted) and returns
-// the extended slice. It lets hot loops avoid per-call allocation.
+// AppendNeighbors appends the neighbors of v to buf (in increasing order)
+// and returns the extended slice. It lets hot loops avoid per-call
+// allocation.
 func (g *Graph) AppendNeighbors(buf []int, v int) []int {
-	for u := range g.adj[v] {
-		buf = append(buf, u)
+	for _, u := range g.adj[v] {
+		buf = append(buf, int(u))
 	}
 	return buf
 }
 
-// EachNeighbor calls fn for every neighbor of v in unspecified order.
+// EachNeighbor calls fn for every neighbor of v in increasing order.
 // fn must not mutate the graph.
 func (g *Graph) EachNeighbor(v int, fn func(u int)) {
-	for u := range g.adj[v] {
-		fn(u)
+	for _, u := range g.adj[v] {
+		fn(int(u))
 	}
 }
 
 // Edges returns all edges sorted lexicographically.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
-	for u := range g.adj {
-		for v := range g.adj[u] {
-			if u < v {
-				out = append(out, Edge{u, v})
+	for u, nb := range g.adj {
+		for _, v := range nb {
+			if u < int(v) {
+				out = append(out, Edge{u, int(v)})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }
 
@@ -171,11 +169,13 @@ func (g *Graph) Edges() []Edge {
 func (g *Graph) NonNeighbors(v int) []int {
 	g.check(v)
 	out := make([]int, 0, len(g.adj)-1-len(g.adj[v]))
+	nb := g.adj[v]
 	for u := 0; u < len(g.adj); u++ {
-		if u == v {
+		if len(nb) > 0 && int(nb[0]) == u {
+			nb = nb[1:]
 			continue
 		}
-		if _, ok := g.adj[v][u]; !ok {
+		if u != v {
 			out = append(out, u)
 		}
 	}
@@ -184,12 +184,12 @@ func (g *Graph) NonNeighbors(v int) []int {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([]map[int]struct{}, len(g.adj)), m: g.m}
+	c := &Graph{adj: make([][]int32, len(g.adj)), m: g.m}
+	arena := make([]int32, 0, 2*g.m)
 	for v, nb := range g.adj {
-		c.adj[v] = make(map[int]struct{}, len(nb))
-		for u := range nb {
-			c.adj[v][u] = struct{}{}
-		}
+		start := len(arena)
+		arena = append(arena, nb...)
+		c.adj[v] = arena[start:len(arena):len(arena)]
 	}
 	return c
 }
@@ -200,13 +200,8 @@ func (g *Graph) Equal(h *Graph) bool {
 		return false
 	}
 	for v, nb := range g.adj {
-		if len(nb) != len(h.adj[v]) {
+		if !slices.Equal(nb, h.adj[v]) {
 			return false
-		}
-		for u := range nb {
-			if _, ok := h.adj[v][u]; !ok {
-				return false
-			}
 		}
 	}
 	return true

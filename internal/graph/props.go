@@ -81,7 +81,8 @@ func (g *Graph) Girth() (girth int, ok bool) {
 				// No shorter cycle can be completed from this depth.
 				break
 			}
-			for u := range g.adj[v] {
+			for _, w := range g.adj[v] {
+				u := int(w)
 				if dist[u] == Unreachable {
 					dist[u] = dist[v] + 1
 					parent[u] = int32(v)

@@ -3,7 +3,7 @@ package graphio
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -11,7 +11,11 @@ import (
 
 // ToSparse6 encodes g in the standard sparse6 format (":" prefix), which is
 // far more compact than graph6 for the sparse graphs this library mostly
-// handles (trees, tori, equilibria with m = O(n)).
+// handles (trees, tori, equilibria with m = O(n)). Edges are written in
+// (max endpoint, min endpoint) order straight from the adjacency, and the
+// bit stream is packed into output bytes as it is produced, so an encode
+// allocates little beyond the output string — it runs on every request
+// the service keys by its exact graph.
 func ToSparse6(g *graph.Graph) (string, error) {
 	n := g.N()
 	var sb strings.Builder
@@ -27,61 +31,61 @@ func ToSparse6(g *graph.Graph) (string, error) {
 	default:
 		return "", fmt.Errorf("graphio: sparse6 n=%d too large", n)
 	}
-	k := bitsFor(n)
-
-	var bitstream []bool
-	writeBit := func(b bool) { bitstream = append(bitstream, b) }
-	writeK := func(x int) {
-		for i := k - 1; i >= 0; i-- {
-			writeBit(x>>uint(i)&1 == 1)
-		}
-	}
+	k := uint(bitsFor(n))
+	sb.Grow((g.M()*int(2*(k+1)) + 5) / 6)
+	w := sixBits{sb: &sb}
 	// Edges sorted by (max endpoint, min endpoint).
-	edges := g.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].V != edges[j].V {
-			return edges[i].V < edges[j].V
-		}
-		return edges[i].U < edges[j].U
-	})
 	cur := 0
-	for _, e := range edges {
-		u, v := e.U, e.V // u < v
-		switch {
-		case v == cur:
-			writeBit(false)
-			writeK(u)
-		case v == cur+1:
-			cur++
-			writeBit(true)
-			writeK(u)
-		default:
-			cur = v
-			writeBit(true)
-			writeK(v)
-			writeBit(false)
-			writeK(u)
+	var lower []int
+	for v := 0; v < n; v++ {
+		lower = g.AppendNeighbors(lower[:0], v)
+		lower = slices.DeleteFunc(lower, func(u int) bool { return u > v })
+		slices.Sort(lower)
+		for _, u := range lower {
+			switch {
+			case v == cur:
+				w.put(uint64(u), k+1)
+			case v == cur+1:
+				cur++
+				w.put(1<<k|uint64(u), k+1)
+			default:
+				cur = v
+				w.put(1<<k|uint64(v), k+1)
+				w.put(uint64(u), k+1)
+			}
 		}
 	}
 	// Pad with 1-bits to a multiple of 6 (with the special n=2^k corner
 	// case handled conservatively by padding a 0 first when needed).
-	if k < 6 && n == (1<<uint(k)) && len(bitstream)%6 != 0 && cur < n-1 {
-		writeBit(false)
+	if k < 6 && n == 1<<k && w.bits%6 != 0 && cur < n-1 {
+		w.put(0, 1)
 	}
-	for len(bitstream)%6 != 0 {
-		writeBit(true)
-	}
-	for i := 0; i < len(bitstream); i += 6 {
-		b := 0
-		for t := 0; t < 6; t++ {
-			b <<= 1
-			if bitstream[i+t] {
-				b |= 1
-			}
-		}
-		sb.WriteByte(byte(b + 63))
+	if r := w.bits % 6; r != 0 {
+		w.put(1<<uint(6-r)-1, uint(6-r))
 	}
 	return sb.String(), nil
+}
+
+// sixBits packs a sparse6 bit stream into printable bytes, six bits per
+// byte, most significant bit first.
+type sixBits struct {
+	sb   *strings.Builder
+	acc  uint64 // pending bits, fewer than six of them between puts
+	n    uint   // number of pending bits
+	bits int    // bits written so far
+}
+
+// put appends the low width bits of x (width <= 32), most significant
+// first.
+func (w *sixBits) put(x uint64, width uint) {
+	w.acc = w.acc<<width | x&(1<<width-1)
+	w.n += width
+	w.bits += int(width)
+	for w.n >= 6 {
+		w.n -= 6
+		w.sb.WriteByte(byte(w.acc>>w.n&63) + 63)
+	}
+	w.acc &= 1<<w.n - 1
 }
 
 // FromSparse6 decodes a sparse6 string produced by ToSparse6 (or standard
@@ -108,37 +112,34 @@ func FromSparse6(s string) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: invalid sparse6 size")
 	}
 	k := bitsFor(n)
-	// Unpack the bitstream.
-	var bitstream []bool
-	for ; pos < len(data); pos++ {
-		c := data[pos]
+	// The bit stream: six bits per byte, most significant first.
+	payload := data[pos:]
+	for _, c := range payload {
 		if c < 63 || c > 126 {
 			return nil, fmt.Errorf("graphio: invalid sparse6 byte %q", c)
 		}
-		v := c - 63
-		for t := 5; t >= 0; t-- {
-			bitstream = append(bitstream, v>>uint(t)&1 == 1)
-		}
 	}
+	total := 6 * len(payload)
+	bitAt := func(i int) bool { return (payload[i/6]-63)>>uint(5-i%6)&1 == 1 }
 	g := graph.New(n)
 	cur := 0
 	i := 0
 	readK := func() (int, bool) {
-		if i+k > len(bitstream) {
+		if i+k > total {
 			return 0, false
 		}
 		x := 0
 		for t := 0; t < k; t++ {
 			x <<= 1
-			if bitstream[i] {
+			if bitAt(i) {
 				x |= 1
 			}
 			i++
 		}
 		return x, true
 	}
-	for i < len(bitstream) {
-		b := bitstream[i]
+	for i < total {
+		b := bitAt(i)
 		i++
 		if b {
 			cur++

@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +116,95 @@ func TestBitsFor(t *testing.T) {
 	for n, want := range cases {
 		if got := bitsFor(n); got != want {
 			t.Errorf("bitsFor(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// refSparse6 is the plain bit-slice sparse6 encoder: every bit appended to
+// a []bool, then packed six to a byte. ToSparse6 packs as it goes and must
+// produce the same bytes, because stored journals and atlas lines key on
+// them.
+func refSparse6(g *graph.Graph) string {
+	n := g.N()
+	out := []byte{':'}
+	if n <= 62 {
+		out = append(out, byte(n+63))
+	} else {
+		out = append(out, 126, byte((n>>12)&63)+63, byte((n>>6)&63)+63, byte(n&63)+63)
+	}
+	k := bitsFor(n)
+	var bs []bool
+	put := func(b bool, x int) {
+		bs = append(bs, b)
+		for i := k - 1; i >= 0; i-- {
+			bs = append(bs, x>>uint(i)&1 == 1)
+		}
+	}
+	edges := g.Edges()
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].V != edges[j].V {
+			return edges[i].V < edges[j].V
+		}
+		return edges[i].U < edges[j].U
+	})
+	cur := 0
+	for _, e := range edges {
+		switch {
+		case e.V == cur:
+			put(false, e.U)
+		case e.V == cur+1:
+			cur++
+			put(true, e.U)
+		default:
+			cur = e.V
+			put(true, e.V)
+			put(false, e.U)
+		}
+	}
+	if k < 6 && n == 1<<uint(k) && len(bs)%6 != 0 && cur < n-1 {
+		bs = append(bs, false)
+	}
+	for len(bs)%6 != 0 {
+		bs = append(bs, true)
+	}
+	for i := 0; i < len(bs); i += 6 {
+		b := 0
+		for _, bit := range bs[i : i+6] {
+			b <<= 1
+			if bit {
+				b |= 1
+			}
+		}
+		out = append(out, byte(b+63))
+	}
+	return string(out)
+}
+
+// TestSparse6MatchesBitSliceReference pins ToSparse6's bytes to the plain
+// bit-slice encoder on random graphs — power-of-two sizes (the padding
+// corner case) and sizes past 62 (the long header) included — and checks
+// that FromSparse6 decodes each string back to the graph.
+func TestSparse6MatchesBitSliceReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(70)
+		switch trial % 4 {
+		case 0:
+			n = 1 << uint(rng.Intn(8))
+		case 1:
+			n = 60 + rng.Intn(300)
+		}
+		g := randomGraph(rng, n, rng.Float64()*4/float64(n+1))
+		got, err := ToSparse6(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refSparse6(g); got != want {
+			t.Fatalf("n=%d m=%d: ToSparse6 %q, reference %q", n, g.M(), got, want)
+		}
+		back, err := FromSparse6(got)
+		if err != nil || !back.Equal(g) {
+			t.Fatalf("n=%d: decode of %q failed (err=%v)", n, got, err)
 		}
 	}
 }

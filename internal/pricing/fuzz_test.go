@@ -10,7 +10,7 @@ import (
 
 // FuzzApplySwap drives a pricing session with a fuzzer-chosen sequence of
 // legal swaps and interleaved undos, mirroring every operation onto a
-// plain map-backed graph. After every mutation the session's live snapshot
+// plain mutable graph. After every mutation the session's live snapshot
 // must agree with a fresh Freeze of the mirror on vertex count, edge
 // count, degrees, sorted adjacency, and one full BFS row.
 //

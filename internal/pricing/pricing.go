@@ -20,10 +20,11 @@
 // row in G up front, its row in each G−vw on first use), and then prices
 // all candidates for one endpoint w' from a single BFS row of G−v, shared
 // across every dropped edge. Per-worker scratch (distance rows and queues)
-// lives in pooled buffers, and the best-move and first-improvement
-// searches run on the unified scan engine (internal/scan) with the
-// ByDropFirst tie-break — (cost, drop, add) — so the outcome is
-// deterministic for any worker count.
+// lives in pooled buffers, and the best-move search runs on the unified
+// scan engine (internal/scan) with the ByDropFirst tie-break — (cost,
+// drop, add) — so the outcome is deterministic for any worker count. The
+// game layer's filtered scans (game.scanSwaps) run on the same engine
+// over a Scan's rows.
 //
 // The package depends only on internal/graph, internal/par, and
 // internal/scan so that both the basic-game checkers (internal/core) and
@@ -376,26 +377,6 @@ func (s *Scan) BestMove(obj Objective, skipAdjacent bool) (best Best, ok bool) {
 	return Best{Drop: int(s.drops[c.DropIdx]), Add: c.Add, Cost: c.Cost}, true
 }
 
-// FirstImproving returns the first candidate in the ForEach enumeration
-// order — add-major, dropped edges ascending within an endpoint — whose
-// cost is strictly below threshold. Candidate endpoints are sharded across
-// the engine's workers and chunks past an already-found endpoint are
-// pruned (the scan engine's CAS protocol), so the result equals a
-// sequential early-exit scan for any worker count. It powers the
-// first-improvement dynamics policy and the random-improving certification
-// sweep.
-func (s *Scan) FirstImproving(obj Objective, skipAdjacent bool, threshold int64) (first Best, ok bool) {
-	s.checkFresh()
-	if len(s.drops) == 0 {
-		return Best{}, false
-	}
-	c, found := scan.First(s.spec(scan.ByEnumeration, threshold, skipAdjacent), s.state, s.pricer(obj))
-	if !found {
-		return Best{}, false
-	}
-	return Best{Drop: int(s.drops[c.DropIdx]), Add: c.Add, Cost: c.Cost}, true
-}
-
 // Usage prices a BFS row under obj: the row's sum (Sum) or maximum (Max),
 // or InfCost when some vertex is unreachable.
 func Usage(row []int32, obj Objective) int64 {
@@ -513,6 +494,39 @@ func PatchedSubsetBelow(dv, dw []int32, subset []int32, obj Objective, threshold
 	var sum, ecc int64
 	for _, x := range subset {
 		d, reachable := patchDist(dv[x], dw[x])
+		if !reachable {
+			return InfCost, InfCost < threshold
+		}
+		if obj == Max {
+			if d > ecc {
+				ecc = d
+			}
+			if ecc >= threshold {
+				return ecc, false
+			}
+		} else {
+			sum += d
+			if sum >= threshold {
+				return sum, false
+			}
+		}
+	}
+	if obj == Max {
+		return ecc, ecc < threshold
+	}
+	return sum, sum < threshold
+}
+
+// PatchedTargetsBelow is PatchedSubsetBelow with the endpoint's row read
+// target-major: cols[j] is a BFS row rooted at subset[j] in the same
+// graph the endpoint row would be measured in, so cols[j][w] stands for
+// dw[subset[j]] — the graph is undirected. It returns exactly what
+// PatchedSubsetBelow(dv, dw, subset, obj, threshold) returns for the
+// endpoint w, reading |subset| entries instead of needing w's own BFS.
+func PatchedTargetsBelow(dv []int32, subset []int32, cols [][]int32, w int, obj Objective, threshold int64) (int64, bool) {
+	var sum, ecc int64
+	for j, x := range subset {
+		d, reachable := patchDist(dv[x], cols[j][w])
 		if !reachable {
 			return InfCost, InfCost < threshold
 		}

@@ -203,7 +203,7 @@ func (s *Session) NewScan(v int) *Scan {
 // unspecified; the installer must check its own cancellation source after
 // the scan and discard the result on expiry. nil uninstalls. The hook must
 // be cheap and safe for concurrent calls (the serve layer installs an
-// atomic-flag-guarded ctx.Err poll, the pattern batchRows uses).
+// atomic-flag-guarded ctx.Err poll, game.ContextCancel).
 func (s *Session) SetCancel(cancel func() bool) { s.cancel = cancel }
 
 // CancelHook returns the installed cancel hook (nil when none), so

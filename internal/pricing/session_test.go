@@ -150,40 +150,6 @@ func TestSessionScanPricesLikeFreshFreeze(t *testing.T) {
 	}
 }
 
-func TestFirstImprovingMatchesSequentialScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for name, g := range testInstances(rng) {
-		f := g.Freeze()
-		for _, obj := range []pricing.Objective{pricing.Sum, pricing.Max} {
-			for v := 0; v < g.N(); v++ {
-				ref := pricing.New(1).NewScan(f, v)
-				cur := ref.CurrentUsage(obj)
-				// Sequential early-exit reference over the same enumeration.
-				var want pricing.Best
-				wantOK := false
-				ref.ForEach(obj, false, func(i, add int, cost int64) bool {
-					if cost < cur {
-						want = pricing.Best{Drop: int(ref.Drops()[i]), Add: add, Cost: cost}
-						wantOK = true
-						return false
-					}
-					return true
-				})
-				ref.Close()
-				for _, workers := range []int{1, 2, 5} {
-					scan := pricing.New(workers).NewScan(f, v)
-					got, ok := scan.FirstImproving(obj, false, cur)
-					scan.Close()
-					if ok != wantOK || (ok && got != want) {
-						t.Fatalf("%s obj=%d v=%d workers=%d: FirstImproving %+v/%v, want %+v/%v",
-							name, obj, v, workers, got, ok, want, wantOK)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestSessionAddRemoveMirrorsGraph(t *testing.T) {
 	g := constructions.Path(6)
 	mirror := g.Clone()

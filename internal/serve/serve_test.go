@@ -165,16 +165,19 @@ func TestTimeoutCancelsMidScan(t *testing.T) {
 	}
 }
 
-// TestTimeoutCancelsMidRowBatch is TestTimeoutCancelsMidScan's batched
-// twin: with Batched set, the check front-loads the n shared full-graph
-// BFS rows, so a 1ms deadline expires while that arena is still being
-// filled. batchRows polls the context once per row (each row is one
-// bounded BFS), so the 504 must come back within one BFS of the deadline
-// — not after the remaining hundreds of rows. The k = 22 torus (n = 968)
-// under max is stable, twin-free and has every eccentricity 22, so even
-// a deadline timer that fires late still lands in a sweep that pruning
-// cannot shortcut.
-func TestTimeoutCancelsMidRowBatch(t *testing.T) {
+// TestTimeoutCancelsMidBatchedScan is TestTimeoutCancelsMidScan's batched
+// twin: with Batched set, the check builds each shared full-graph row on
+// the first candidate that reads it, inside the per-agent scans, so a 1ms
+// deadline expires mid-scan. Each scan polls the context once per
+// candidate endpoint through its cancel hook (each candidate is at most
+// one shared row plus one bounded BFS), so the 504 must come back within
+// a candidate of the deadline — not after the remaining hundreds of
+// candidates and rows. The k = 22 torus (n = 968) under max is stable,
+// twin-free and has every eccentricity 22, so even a deadline timer that
+// fires late still lands in a sweep that pruning cannot shortcut; the
+// far-set filter leaves it slow too (the full batched check takes about
+// 2.6 s at one worker on a 2-core Xeon).
+func TestTimeoutCancelsMidBatchedScan(t *testing.T) {
 	_, client := newTestServer(t, Config{MaxN: 1024})
 	g := constructions.NewTorus(22).Graph()
 	requireUnprunable(t, g)
@@ -194,10 +197,10 @@ func TestTimeoutCancelsMidRowBatch(t *testing.T) {
 	if !asAPIError(err, &ae) || ae.Status != http.StatusGatewayTimeout {
 		t.Fatalf("got %v, want 504", err)
 	}
-	// 968 shared rows ≫ 1ms; the per-row poll must abort construction
-	// within one BFS plus chunk drain.
+	// A full batched n=968 check reads 968 shared rows ≫ 1ms; the
+	// per-candidate poll must abort within one candidate plus chunk drain.
 	if elapsed > 10*time.Second {
-		t.Errorf("cancellation took %v; deadline is not being polled during row construction", elapsed)
+		t.Errorf("cancellation took %v; deadline is not being polled per candidate", elapsed)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -365,20 +364,9 @@ func (s *Server) bestResponse(ctx context.Context, req BestResponseRequest) (*Be
 
 	inst := model.New(g, s.clampWorkers(req.Workers))
 	defer game.CloseInstance(inst)
-	// Cooperative mid-scan cancellation, the same shape batchRows uses: a
-	// ctx.Err() poll latched through an atomic flag so every scan chunk
-	// observes the first expiry without re-querying the context.
-	var stop atomic.Bool
-	game.SetScanCancel(inst, func() bool {
-		if stop.Load() {
-			return true
-		}
-		if ctx.Err() != nil {
-			stop.Store(true)
-			return true
-		}
-		return false
-	})
+	// Cooperative mid-scan cancellation, the hook the one-shot checks
+	// install too: a latched ctx.Err() poll per candidate endpoint.
+	game.SetScanCancel(inst, game.ContextCancel(ctx))
 	m, oldCost, newCost, ok := inst.BestMove(req.Agent, obj)
 	if err := ctx.Err(); err != nil {
 		return nil, classify(err)
